@@ -284,13 +284,16 @@ def random_decoder_params(
     rng = np.random.default_rng(seed)
     w3 = 3 * n_waypoints
 
+    def xattn(offset):
+        return random_cross_attn_params(d, n_heads, seed=seed * 37 + offset, dtype=dtype)
+
     def layer(i):
         h = 2 * d
         return DecoderLayerParams(
             W_embed=(rng.standard_normal((w3, d)) / np.sqrt(w3)).astype(dtype),
             b_embed=np.zeros(d, dtype=dtype),
-            bev_attn=random_cross_attn_params(d, n_heads, seed=seed * 37 + 2 * i),
-            agent_attn=random_cross_attn_params(d, n_heads, seed=seed * 37 + 2 * i + 1),
+            bev_attn=xattn(2 * i),
+            agent_attn=xattn(2 * i + 1),
             W_ff1=(rng.standard_normal((d, h)) / np.sqrt(d)).astype(dtype),
             W_ff2=(rng.standard_normal((h, d)) / np.sqrt(h)).astype(dtype),
             # small delta scale keeps refinements near the anchors
@@ -310,7 +313,7 @@ def random_decoder_params(
         W_pred=(rng.standard_normal((d, 2 * n_waypoints)) / np.sqrt(d)).astype(dtype),
         b_pred=np.zeros(2 * n_waypoints, dtype=dtype),
         agent_queries=(rng.standard_normal((n_agent_queries, d)) * 0.5).astype(dtype),
-        agent_query_attn=random_cross_attn_params(d, n_heads, seed=seed * 37 + 997),
+        agent_query_attn=xattn(997),
     )
 
 

@@ -249,15 +249,13 @@ def fuse_step(
 
 
 def split_fused(fused: np.ndarray, l_camera: int, l_lidar: int):
-    """Split one fused frame back into camera and lidar streams."""
+    """Split fused frames back into camera and lidar streams, shaped
+    (frames, l_camera, d) and (frames, l_lidar, d)."""
     per = l_camera + l_lidar
     if fused.shape[0] % per != 0:
         raise ShapeError("fused length is not a multiple of the frame layout")
-    cams, lids = [], []
-    for off in range(0, fused.shape[0], per):
-        cams.append(fused[off:off + l_camera])
-        lids.append(fused[off + l_camera:off + per])
-    return cams, lids
+    frames = fused.reshape(-1, per, fused.shape[1])
+    return frames[:, :l_camera], frames[:, l_camera:]
 
 
 @dataclass
@@ -379,7 +377,22 @@ class FusionSession:
         snapshots.save_state(path, self.state, frames_seen=self.frames_seen)
 
     def restore(self, path) -> None:
+        """Resume from a snapshot of a session with the same layers, width,
+        heads and dtype; on a mismatch the current state is kept."""
         state, extras = snapshots.load_state(path)
+        if state.S.shape != self.state.S.shape:
+            raise ShapeError(
+                f"snapshot state (layers, heads, head_dim, head_dim) "
+                f"{state.S.shape} does not match the session's {self.state.S.shape}"
+            )
+        arrays = (state.S, state.shift_tm, state.shift_cm)
+        if any(a.dtype != self.state.S.dtype for a in arrays):
+            raise DataError(
+                f"snapshot dtype {state.S.dtype} does not match the "
+                f"session's {self.state.S.dtype}"
+            )
+        if not all(np.isfinite(a).all() for a in arrays):
+            raise DataError("snapshot state holds non-finite values")
         self.state = state
         self.frames_seen = extras.get("frames_seen", 0)
 

@@ -202,17 +202,6 @@ def first_overlap_time(
     return best
 
 
-def ttc_min(
-    traj: Trajectory,
-    agents: list[AgentState],
-    ego_half_extents=(EGO_HALF_LENGTH, EGO_HALF_WIDTH),
-    grid_dt: float = 0.005,
-) -> float:
-    """Minimum time-to-collision: the earliest overlap horizon on the grid
-    under constant agent velocities; +inf when no overlap ever occurs."""
-    return first_overlap_time(traj, agents, ego_half_extents, grid_dt)
-
-
 # --- sub-scores ---------------------------------------------------------------
 
 

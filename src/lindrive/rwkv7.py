@@ -1,6 +1,10 @@
 """RWKV-7 block primitives: element projections, delta-rule state recurrence
 in sequential and chunk-parallel form, time mixing and channel mixing.
 
+The chunk-parallel form is one kernel, chunk_readouts, which every chunked
+caller (fusion, cross-attention) runs; it never materialises the per-step
+states. state_step is its sequential reference.
+
 Everything is plain numpy and dtype-preserving: float64 for oracle work,
 float32 for benchmarks. A block holds no state of its own; callers own a
 RecurrentState that is advanced in place, so one state means one stream and
@@ -453,150 +457,75 @@ def decay_matrix(w_rows):
     return delta
 
 
-@dataclass
-class ChunkMatrices:
-    """Stacked per-chunk quantities for the parallel path.
+def chunk_readouts(S_in, e: ElementSet, r_heads, max_chunk: int = DEFAULT_CHUNK):
+    """Chunk-parallel delta rule: readouts y_t = S_t r_t^T for every token of
+    `e` and the final state, equal to repeated state_step.
 
-    delta is the causal decay tensor; u stacks a / ||k_removal||_2, k_replace
-    and v stack replacement keys and values, k_removal stacks the raw removal
-    keys (needed to recover the normalized keys inside the kernel).
-    """
-
-    delta: np.ndarray  # (B, B, d)
-    u: np.ndarray  # (B, d)
-    k_replace: np.ndarray  # (B, d)
-    v: np.ndarray  # (B, d)
-    k_removal: np.ndarray  # (B, d)
-    length: int
-
-    def validate(self) -> None:
-        B = self.length
-        if self.delta.shape[:2] != (B, B):
-            raise ShapeError("delta must be (B, B, d)")
-        iu = np.triu_indices(B, k=1)
-        if np.any(self.delta[iu] != 0.0):
-            raise ShapeError("delta must be lower-triangular in its step indices")
-
-
-def build_chunk_matrices(e: ElementSet, n_heads: int) -> ChunkMatrices:
-    """Assemble the stacked chunk matrices from a batch ElementSet."""
-    B = e.w.shape[0]
-    _, norm = _normalize_removal(_split_heads(e.k_removal, n_heads))
-    u = (_split_heads(e.a, n_heads) / norm).reshape(B, -1)
-    return ChunkMatrices(
-        delta=decay_matrix(e.w),
-        u=u,
-        k_replace=e.k_replace,
-        v=e.v,
-        k_removal=e.k_removal,
-        length=B,
-    )
-
-
-def _chunk_solve(S_in, mats: ChunkMatrices, n_heads: int):
-    """Shared core of the parallel path.
-
-    Works in a representation where every cross-step coupling is a product
-    of decay components (each <= 1), so no reciprocal of a deep cumulative
-    decay ever appears; a single unit-lower-triangular solve per head
-    recovers the per-step state readouts m_t = S_{t-1} khat_t^T.
-
-    Returns (m, brow, k_rep, v, E2, F2) where E2[t, s] is the decay a step-s
-    write experiences by the end of step t and F2[t] the decay of the
-    incoming state.
-    """
-    B = mats.length
-    H = n_heads
-    khat, _ = _normalize_removal(_split_heads(mats.k_removal, H))  # (B,H,K)
-    # removal row of the transition: transition_t = diag(w_t) + khat_t^T brow_t
-    brow = -_split_heads(mats.u, H) * _split_heads(mats.k_removal, H)
-    v = _split_heads(mats.v, H)
-    k_rep = _split_heads(mats.k_replace, H)
-    hd = khat.shape[-1]
-    delta = mats.delta.reshape(B, B, H, hd)
-
-    E2 = np.zeros_like(delta)
-    idx = np.arange(B)
-    E2[idx, idx] = 1.0
-    if B > 1:
-        il, jl = np.tril_indices(B, k=-1)
-        E2[il, jl] = delta[il, jl + 1]
-    # shifted variants: couplings into the readout at step t see decays only
-    # up to step t-1
-    E1 = np.zeros_like(E2)
-    E1[1:] = E2[:-1]
-    F2 = delta[:, 0]  # (B, H, K): prod of w over 0..t
-    F1 = np.empty_like(F2)
-    F1[0] = 1.0
-    F1[1:] = F2[:-1]
-
-    # readout of the incoming state at each step, pre-solve
-    h_rows = np.einsum("hvk,bhk->hbv", S_in, F1 * khat)
-    # couplings between the step-s transition/write and the step-t readout
-    L = np.einsum("shk,thk,tshk->hts", brow, khat, E1)
-    G = np.einsum("shk,thk,tshk->hts", k_rep, khat, E1)
-    rhs = h_rows + np.einsum("hts,shv->htv", G, v)
-    eye = np.eye(B, dtype=S_in.dtype)
-    m = np.linalg.solve(eye - L, rhs)  # (H, B, V)
-    return m, brow, k_rep, v, E2, F2
-
-
-def _chunk_kernel(S_in, mats: ChunkMatrices, n_heads: int):
-    """All B states of one chunk via batched linear algebra."""
-    m, brow, k_rep, v, E2, F2 = _chunk_solve(S_in, mats, n_heads)
-    # per-step state increment: removal correction plus fresh write
-    P = np.einsum("hbv,bhk->bhvk", m, brow) + np.einsum("bhv,bhk->bhvk", v, k_rep)
-    states = np.einsum("hvk,bhk->bhvk", S_in, F2) + np.einsum(
-        "shvk,tshk->thvk", P, E2
-    )
-    return states
-
-
-def _chunk_readouts(S_in, mats: ChunkMatrices, r_heads, n_heads: int):
-    """Per-token readouts y_t = S_t r_t^T and the final state, without
-    materializing intermediate states.
-
-    The states enter the outputs only through attention-style score
-    matrices between the receptance rows and the (decayed) write rows,
-    which is a factor head_dim cheaper than building every state.
-    """
-    m, brow, k_rep, v, E2, F2 = _chunk_solve(S_in, mats, n_heads)
-    y = np.einsum("hvk,thk->thv", S_in, F2 * r_heads)
-    scores_rm = np.einsum("shk,thk,tshk->hts", brow, r_heads, E2)
-    scores_wr = np.einsum("shk,thk,tshk->hts", k_rep, r_heads, E2)
-    y += np.einsum("hts,hsv->thv", scores_rm, m)
-    y += np.einsum("hts,shv->thv", scores_wr, v)
-    decay_end = E2[-1]  # (B, H, K)
-    S_out = S_in * F2[-1][:, None, :]
-    S_out += np.einsum("hsv,shk->hvk", m, brow * decay_end)
-    S_out += np.einsum("shv,shk->hvk", v, k_rep * decay_end)
-    return y, S_out
-
-
-def chunk_forward(S_in, e: ElementSet, max_chunk: int = DEFAULT_CHUNK):
-    """Delta-rule states for a whole chunk, equal to repeated state_step.
-
-    Returns (states, S_out) where states[t] is the per-head state after
-    consuming token t and S_out is states[-1]. Long chunks are processed in
-    sub-chunks of max_chunk steps, carrying the state across.
+    `r_heads` is (T, n_heads, head_dim); returns (y, S_out) with y shaped like
+    `r_heads`. Tokens run in sub-chunks of max_chunk steps, carrying the state
+    across. Inside a sub-chunk this is the UT/WY form of the chunked delta
+    rule (Yang et al., arXiv 2406.06484): every cross-step coupling is a
+    product of decay components (each <= 1), so no reciprocal of a deep
+    cumulative decay ever appears, and a single unit-lower-triangular solve
+    per head recovers the per-step readouts m_t = S_{t-1} khat_t^T. The
+    intermediate states enter the outputs only through attention-style score
+    matrices between the receptance rows and the (decayed) write rows, which
+    is a factor head_dim cheaper than building every state.
     """
     H = S_in.shape[0]
-    B = e.w.shape[0]
-    if B < 1:
-        raise ShapeError("chunk_forward needs at least one token")
-    if not (np.isfinite(e.w).all() and np.isfinite(e.v).all()):
-        raise NumericError("non-finite element reached chunk_forward")
-    states = np.empty((B,) + S_in.shape, dtype=S_in.dtype)
+    T = e.w.shape[0]
+    y = np.empty_like(r_heads)
     S = S_in
-    for lo in range(0, B, max_chunk):
-        hi = min(lo + max_chunk, B)
-        sub = ElementSet(
-            **{f: getattr(e, f)[lo:hi] for f in e.__dataclass_fields__}
-        )
-        mats = build_chunk_matrices(sub, H)
-        states[lo:hi] = _chunk_kernel(S, mats, H)
-        S = states[hi - 1]
-    return states, S
+    for lo in range(0, T, max_chunk):
+        hi = min(lo + max_chunk, T)
+        B = hi - lo
+        r = r_heads[lo:hi]
+        k_removal = _split_heads(e.k_removal[lo:hi], H)
+        khat, norm = _normalize_removal(k_removal)  # (B,H,K)
+        u = _split_heads(e.a[lo:hi], H) / norm
+        # removal row of the transition: transition_t = diag(w_t) + khat_t^T brow_t
+        brow = -u * k_removal
+        v = _split_heads(e.v[lo:hi], H)
+        k_rep = _split_heads(e.k_replace[lo:hi], H)
+        delta = decay_matrix(e.w[lo:hi]).reshape(B, B, H, khat.shape[-1])
+
+        # E2[t, s] is the decay a step-s write experiences by the end of step
+        # t, F2[t] the decay of the incoming state
+        E2 = np.zeros_like(delta)
+        idx = np.arange(B)
+        E2[idx, idx] = 1.0
+        if B > 1:
+            il, jl = np.tril_indices(B, k=-1)
+            E2[il, jl] = delta[il, jl + 1]
+        # shifted variants: couplings into the readout at step t see decays
+        # only up to step t-1
+        E1 = np.zeros_like(E2)
+        E1[1:] = E2[:-1]
+        F2 = delta[:, 0]  # (B, H, K): prod of w over 0..t
+        F1 = np.empty_like(F2)
+        F1[0] = 1.0
+        F1[1:] = F2[:-1]
+
+        # readout of the incoming state at each step, pre-solve
+        h_rows = np.einsum("hvk,bhk->hbv", S, F1 * khat)
+        # couplings between the step-s transition/write and the step-t readout
+        L = np.einsum("shk,thk,tshk->hts", brow, khat, E1)
+        G = np.einsum("shk,thk,tshk->hts", k_rep, khat, E1)
+        rhs = h_rows + np.einsum("hts,shv->htv", G, v)
+        eye = np.eye(B, dtype=S.dtype)
+        m = np.linalg.solve(eye - L, rhs)  # (H, B, V)
+
+        y_sub = np.einsum("hvk,thk->thv", S, F2 * r)
+        scores_rm = np.einsum("shk,thk,tshk->hts", brow, r, E2)
+        scores_wr = np.einsum("shk,thk,tshk->hts", k_rep, r, E2)
+        y_sub += np.einsum("hts,hsv->thv", scores_rm, m)
+        y_sub += np.einsum("hts,shv->thv", scores_wr, v)
+        y[lo:hi] = y_sub
+        decay_end = E2[-1]  # (B, H, K)
+        S = S * F2[-1][:, None, :]
+        S += np.einsum("hsv,shk->hvk", m, brow * decay_end)
+        S += np.einsum("shv,shk->hvk", v, k_rep * decay_end)
+    return y, S
 
 
 def _finish_readout(e: ElementSet, y, params: RwkvBlockParams):
@@ -664,21 +593,11 @@ def _chunked_tile(
     """One tile of the chunk-parallel path: project, recur, read out, mix."""
     xn = layer_norm(tokens, params.ln1_w, params.ln1_b)
     e = project_elements_seq(xn, params, state, layer, v0_seq)
-    H = params.n_heads
-    r = _split_heads(e.r, H)
-    T = tokens.shape[0]
-    y = np.empty((T, H, params.head_dim), dtype=tokens.dtype)
-    S = state.S[layer]
-    for lo in range(0, T, max_chunk):
-        hi = min(lo + max_chunk, T)
-        sub = ElementSet(
-            **{f: getattr(e, f)[lo:hi] for f in e.__dataclass_fields__}
-        )
-        y[lo:hi], S = _chunk_readouts(
-            S, build_chunk_matrices(sub, H), r[lo:hi], H
-        )
-    state.S[layer] = S
-    x = tokens + _finish_readout(e, y, params)
+    y, state.S[layer] = chunk_readouts(
+        state.S[layer], e, _split_heads(e.r, params.n_heads), max_chunk
+    )
+    # the readout is finished in the token dtype
+    x = tokens + _finish_readout(e, y.astype(tokens.dtype, copy=False), params)
     xn2 = layer_norm(x, params.ln2_w, params.ln2_b)
     return x + _channel_mix_seq(xn2, params, state, layer), e.v0
 
@@ -697,7 +616,8 @@ def block_apply(
     Returns (outputs, v0_seq) where v0_seq stacks the layer-0 values needed
     by deeper layers of a stack. Both modes produce the same outputs and the
     same final state; sequential iterates the recurrence token by token,
-    chunked batches it through the parallel form.
+    chunked batches it through chunk_readouts. `state.tokens_seen` is left
+    to forward_stack, which counts a stack's tokens once.
     """
     if mode not in ("sequential", "chunked"):
         raise ConfigError(f"unknown mode {mode!r}")
@@ -742,7 +662,6 @@ def block_apply(
             out[lo:hi], v0_out[lo:hi] = _chunked_tile(
                 tokens[lo:hi], params, state, layer, v0_tile, max_chunk
             )
-    state.tokens_seen += T
     return out, v0_out
 
 
@@ -754,8 +673,7 @@ def block_forward(
     max_chunk: int = DEFAULT_CHUNK,
 ):
     """Single-block forward (layer 0 semantics). Returns (outputs, state)."""
-    out, _ = block_apply(tokens, params, state, 0, None, mode, max_chunk)
-    return out, state
+    return forward_stack(tokens, [params], state, mode, max_chunk), state
 
 
 def forward_stack(
@@ -765,19 +683,17 @@ def forward_stack(
     mode: str = "sequential",
     max_chunk: int = DEFAULT_CHUNK,
 ):
-    """Run a stack of blocks, threading the layer-0 value residual through."""
+    """Run a stack of blocks, threading the layer-0 value residual through
+    and adding the consumed tokens to `state.tokens_seen`."""
     if state.n_layers < len(blocks):
         raise ConfigError(
             f"state has {state.n_layers} layers, stack needs {len(blocks)}"
         )
     x = np.asarray(tokens)
     v0_seq = None
-    tokens_in = x.shape[0] if x.ndim == 2 else 0
     for layer, params in enumerate(blocks):
         x, v0 = block_apply(x, params, state, layer, v0_seq, mode, max_chunk)
         if layer == 0:
             v0_seq = v0
-    # block_apply counts tokens once per layer; a stack consumes them once
-    if blocks and tokens_in:
-        state.tokens_seen -= tokens_in * (len(blocks) - 1)
+            state.tokens_seen += x.shape[0]
     return x

@@ -39,12 +39,13 @@ from lindrive.pdms import PdmsWeights, ScoreConfig, SubScores, eval_subscores, p
 from lindrive.rwkv7 import (
     RecurrentState,
     block_forward,
-    chunk_forward,
     project_elements_seq,
     random_block_params,
     state_step,
 )
 from lindrive.snapshots import load_state, save_state
+
+from chunk_states import chunk_states
 
 
 def report(num: int, name: str, ok: bool, detail: str) -> None:
@@ -78,6 +79,8 @@ def sequential_reference(S_in, e):
 
 
 def test_criterion_01_sequential_parallel_equivalence():
+    # the production kernel chunk_readouts, its states recovered by basis
+    # readouts (tests/chunk_states.py)
     t0 = time.time()
     grid = [(d, h, B) for d in (8, 16, 64) for h in (1, 4) for B in (1, 4, 16, 64)]
     worst = {np.float64: 0.0, np.float32: 0.0}
@@ -89,7 +92,7 @@ def test_criterion_01_sequential_parallel_equivalence():
         dtype = np.float64 if cases % 2 == 0 else np.float32
         e, S_in = elements_via_block(d, h, B, seed=1000 + 7 * seed, dtype=dtype)
         want = sequential_reference(S_in, e)
-        got, _ = chunk_forward(S_in, e)
+        got, _ = chunk_states(S_in, e)
         worst[dtype] = max(worst[dtype], float(np.max(np.abs(got - want))))
         cases += 1
         seed += 1

@@ -1,6 +1,7 @@
 """Trajectory decoder: anchors, truncated corruption, layer refinement,
 decoding contracts, and best-mode selection."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -254,6 +255,27 @@ class TestDecode:
     def test_agent_queries_shape(self):
         assert self.agent_q.m == 8
         assert self.agent_q.d == 8
+
+
+class TestDecoderParams:
+    def test_float32_params_are_float32(self):
+        def arrays(obj):
+            if isinstance(obj, np.ndarray):
+                yield obj
+            elif isinstance(obj, list):
+                for item in obj:
+                    yield from arrays(item)
+            elif dataclasses.is_dataclass(obj):
+                for f in dataclasses.fields(obj):
+                    yield from arrays(getattr(obj, f.name))
+
+        params = random_decoder_params(8, n_layers=1, seed=31, dtype=np.float32)
+        # the noise schedule is float64 for every decoder; all learned
+        # tensors follow the requested dtype
+        params.sched = None
+        dtypes = [a.dtype for a in arrays(params)]
+        assert len(dtypes) > 200
+        assert set(dtypes) == {np.dtype(np.float32)}
 
 
 class TestSelectBest:

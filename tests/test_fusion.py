@@ -4,7 +4,7 @@ constant-memory streaming, BEV assembly, and feature state dropout."""
 import numpy as np
 import pytest
 
-from lindrive.errors import ConfigError, ContractError, ShapeError
+from lindrive.errors import ConfigError, ContractError, DataError, ShapeError
 from lindrive.fusion import (
     BevBundle,
     Command,
@@ -27,6 +27,8 @@ from lindrive.fusion import (
     write_frames_jsonl,
 )
 from lindrive.harness import gen_synthetic_frames
+from lindrive.rwkv7 import RecurrentState
+from lindrive.snapshots import save_state
 
 
 def frames_fixture(T, l_cam=4, l_lid=4, d=8, seed=0):
@@ -266,6 +268,41 @@ class TestSessionAndFiles:
             out_a = a.step(f)
             out_b = b.step(f)
             np.testing.assert_array_equal(out_a, out_b)
+
+    def streamed_session(self, dtype=np.float64):
+        params = random_fusion_params(16, 2, 2, 8, seed=22, dtype=dtype)
+        session = FusionSession(params)
+        f = frames_fixture(1, d=16, seed=23)[0]
+        session.step(FrameTokens(f.camera.astype(dtype), f.lidar.astype(dtype), f.t))
+        return session
+
+    def assert_restore_rejected(self, session, path, error):
+        before = session.state.copy()
+        with pytest.raises(error):
+            session.restore(path)
+        assert session.frames_seen == 1
+        assert session.state.S.dtype == before.S.dtype
+        np.testing.assert_array_equal(session.state.S, before.S)
+        np.testing.assert_array_equal(session.state.shift_tm, before.shift_tm)
+        np.testing.assert_array_equal(session.state.shift_cm, before.shift_cm)
+
+    def test_restore_rejects_other_dtype(self, tmp_path):
+        # a float64 snapshot must not switch a float32 stream to float64
+        session = self.streamed_session(np.float32)
+        save_state(tmp_path / "f64.npz", RecurrentState.zeros(16, 2, 2, np.float64))
+        self.assert_restore_rejected(session, tmp_path / "f64.npz", DataError)
+
+    def test_restore_rejects_other_width(self, tmp_path):
+        session = self.streamed_session()
+        save_state(tmp_path / "d32.npz", RecurrentState.zeros(32, 2, 2))
+        self.assert_restore_rejected(session, tmp_path / "d32.npz", ShapeError)
+
+    def test_restore_rejects_non_finite(self, tmp_path):
+        session = self.streamed_session()
+        bad = session.state.copy()
+        bad.S[1, 0, 2, 3] = np.nan
+        save_state(tmp_path / "nan.npz", bad)
+        self.assert_restore_rejected(session, tmp_path / "nan.npz", DataError)
 
     def test_frames_jsonl_round_trip(self, tmp_path):
         frames = frames_fixture(3, seed=21)

@@ -25,7 +25,6 @@ from lindrive.pdms import (
     point_in_polygon,
     save_scene,
     score_trajectory,
-    ttc_min,
     write_report,
 )
 
@@ -147,7 +146,7 @@ class TestGeometry:
 
 class TestTtc:
     def test_no_agents_infinite(self):
-        assert ttc_min(straight_trajectory(), []) == math.inf
+        assert first_overlap_time(straight_trajectory(), []) == math.inf
 
     def test_head_on_closed_form(self):
         # closing at 10 m/s from 20 m -> first overlap at 2.0 s; near-point
@@ -158,7 +157,9 @@ class TestTtc:
             velocity=np.array([-10.0, 0.0]),
             half_extents=np.array([0.05, 0.05]),
         )
-        got = ttc_min(ego, [agent], ego_half_extents=(0.0, 0.0), grid_dt=0.005)
+        got = first_overlap_time(
+            ego, [agent], ego_half_extents=(0.0, 0.0), grid_dt=0.005
+        )
         assert abs(got - 2.0) <= 0.01
 
     def test_already_overlapping_zero(self):
@@ -168,7 +169,7 @@ class TestTtc:
             velocity=np.array([0.0, 0.0]),
             half_extents=np.array([1.0, 1.0]),
         )
-        assert ttc_min(ego, [agent]) == 0.0
+        assert first_overlap_time(ego, [agent]) == 0.0
 
 
 class TestSubScores:

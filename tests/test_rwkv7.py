@@ -9,14 +9,12 @@ import pytest
 from lindrive import rwkv7
 from lindrive.errors import ConfigError, ContractError, NumericError, ShapeError
 from lindrive.rwkv7 import (
-    ChunkMatrices,
     ElementSet,
     RecurrentState,
     block_apply,
     block_forward,
-    build_chunk_matrices,
     channel_mix,
-    chunk_forward,
+    chunk_readouts,
     decay_matrix,
     forward_stack,
     layer_norm,
@@ -27,6 +25,8 @@ from lindrive.rwkv7 import (
     state_step,
     time_mix_output,
 )
+
+from chunk_states import chunk_states
 
 # ---------------------------------------------------------------------------
 # scalar oracle: plain-Python re-evaluation of every element equation, used
@@ -338,26 +338,16 @@ class TestDecayMatrix:
         for i in range(6):
             np.testing.assert_array_equal(delta[i, i], w[i])
 
-    def test_chunk_matrices_validate(self):
-        e = make_elements(4, 4, seed=11)
-        mats = build_chunk_matrices(e, 1)
-        mats.validate()
-        bad = ChunkMatrices(
-            delta=np.ones((4, 4, 4)), u=mats.u, k_replace=mats.k_replace,
-            v=mats.v, k_removal=mats.k_removal, length=4,
-        )
-        with pytest.raises(ShapeError):
-            bad.validate()
-
 
 class TestChunkForward:
     def test_single_step_chunk(self):
         e = make_elements(1, 8, n_heads=2, seed=12)
         step = ElementSet(**{f: getattr(e, f)[0] for f in e.__dataclass_fields__})
         S_in = np.random.default_rng(0).standard_normal((2, 4, 4))
-        states, S_out = chunk_forward(S_in, e)
-        np.testing.assert_allclose(states[0], state_step(S_in, step), rtol=1e-10)
-        np.testing.assert_array_equal(states[-1], S_out)
+        states, S_out = chunk_states(S_in, e)
+        want = state_step(S_in, step)
+        np.testing.assert_allclose(states[0], want, rtol=1e-10)
+        np.testing.assert_allclose(S_out, want, rtol=1e-10)
 
     @pytest.mark.parametrize("d,n_heads,B", [(16, 1, 8), (16, 4, 8), (8, 2, 5)])
     def test_matches_sequential(self, d, n_heads, B):
@@ -365,25 +355,20 @@ class TestChunkForward:
         rng = np.random.default_rng(14)
         S_in = rng.standard_normal((n_heads, d // n_heads, d // n_heads))
         want, want_final = sequential_states(S_in, e, n_heads)
-        got, got_final = chunk_forward(S_in, e)
+        got, got_final = chunk_states(S_in, e)
         np.testing.assert_allclose(got, want, atol=1e-10)
         np.testing.assert_allclose(got_final, want_final, atol=1e-10)
 
     def test_split_invariance(self):
-        # 16 tokens processed as one chunk, 8+8, or 4x4 end in the same state
+        # 16 tokens processed as one chunk, 8+8, or 4x4 give the same
+        # readouts and end in the same state
         e = make_elements(16, 8, seed=15)
         S_in = np.zeros((1, 8, 8))
-        finals = []
-        for size in (16, 8, 4):
-            S = S_in
-            for lo in range(0, 16, size):
-                sub = ElementSet(
-                    **{f: getattr(e, f)[lo:lo + size] for f in e.__dataclass_fields__}
-                )
-                _, S = chunk_forward(S, sub, max_chunk=size)
-            finals.append(S)
-        np.testing.assert_allclose(finals[0], finals[1], atol=1e-10)
-        np.testing.assert_allclose(finals[0], finals[2], atol=1e-10)
+        r = e.r.reshape(16, 1, 8)
+        runs = [chunk_readouts(S_in, e, r, max_chunk=size) for size in (16, 8, 4)]
+        for y, S in runs[1:]:
+            np.testing.assert_allclose(y, runs[0][0], atol=1e-10)
+            np.testing.assert_allclose(S, runs[0][1], atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +544,7 @@ class TestProperties:
         rng = np.random.default_rng(d * B)
         S_in = rng.standard_normal((n_heads, d // n_heads, d // n_heads))
         want, _ = sequential_states(S_in, e, n_heads)
-        got, _ = chunk_forward(S_in, e)
+        got, _ = chunk_states(S_in, e)
         assert np.max(np.abs(got - want)) < 1e-10
 
     def test_mode_equivalence_single_precision(self):
@@ -567,7 +552,7 @@ class TestProperties:
             e = make_elements(64, 16, 4, seed=seed, dtype=np.float32)
             S_in = np.zeros((4, 4, 4), dtype=np.float32)
             want, _ = sequential_states(S_in, e, 4)
-            got, _ = chunk_forward(S_in, e)
+            got, _ = chunk_states(S_in, e)
             assert got.dtype == np.float32
             assert np.max(np.abs(got - want)) < 1e-5
 
