@@ -5,6 +5,7 @@ queries are first self-encoded by one RWKV-7 block, then the concatenated
 sequence [features; queries] runs through a second block whose recurrent
 state carries feature information forward into the query positions. The
 last M outputs are the cross-attended queries. No attention matrix exists.
+Both blocks always run chunk-parallel (rwkv7.chunk_readouts).
 
 Both operations use a fresh recurrent state per call, so they are pure
 functions of their inputs and independent calls may run in parallel.
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .rwkv7 import DEFAULT_CHUNK, RecurrentState, RwkvBlockParams, block_forward
+from .rwkv7 import RecurrentState, RwkvBlockParams, block_forward
 
 
 @dataclass
@@ -55,8 +56,6 @@ class CrossAttnParams:
 def encode_query(
     q: QuerySet,
     enc_params: RwkvBlockParams,
-    mode: str = "chunked",
-    max_chunk: int = DEFAULT_CHUNK,
 ) -> QuerySet:
     """Self-encode the queries' positional dependencies with one block."""
     if q.d != enc_params.d:
@@ -64,7 +63,7 @@ def encode_query(
     state = RecurrentState.zeros(
         enc_params.d, enc_params.n_heads, dtype=q.tokens.dtype
     )
-    out, _ = block_forward(q.tokens, enc_params, state, mode, max_chunk)
+    out, _ = block_forward(q.tokens, enc_params, state, "chunked")
     return QuerySet(out)
 
 
@@ -72,8 +71,6 @@ def cross_attend(
     features,
     q_enc: QuerySet,
     xattn_params: RwkvBlockParams,
-    mode: str = "chunked",
-    max_chunk: int = DEFAULT_CHUNK,
 ) -> QuerySet:
     """Let the encoded queries read the feature tokens.
 
@@ -96,7 +93,7 @@ def cross_attend(
     state = RecurrentState.zeros(
         xattn_params.d, xattn_params.n_heads, dtype=seq.dtype
     )
-    out, _ = block_forward(seq, xattn_params, state, mode, max_chunk)
+    out, _ = block_forward(seq, xattn_params, state, "chunked")
     return QuerySet(out[-q_enc.m:])
 
 
@@ -104,10 +101,9 @@ def attend(
     features,
     q: QuerySet,
     params: CrossAttnParams,
-    mode: str = "chunked",
 ) -> QuerySet:
     """encode_query then cross_attend, the usual composite."""
-    return cross_attend(features, encode_query(q, params.encoder, mode), params.mixer, mode)
+    return cross_attend(features, encode_query(q, params.encoder), params.mixer)
 
 
 def random_cross_attn_params(

@@ -16,6 +16,7 @@ stochastic=True to re-noise between steps.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -386,7 +387,9 @@ def decode(
         anchors = AnchorSet([anchors.anchors[i] for i in idx])
 
     sched = params.sched
-    x = corrupt_anchors(anchors, sched, sched.truncate_at, seed)
+    # decode in the params' dtype: the alpha-bar factors are Python floats
+    dtype = params.agent_queries.dtype
+    x = corrupt_anchors(anchors, sched, sched.truncate_at, seed).astype(dtype)
     # e.g. 2 steps from truncation 50: evaluate at 50 and 25, land on 0
     t_grid = np.linspace(sched.truncate_at, 0, steps + 1).round().astype(int)
     feats = None
@@ -398,14 +401,14 @@ def decode(
         if t_next == 0:
             x = x0_hat
         else:
-            ab_now = sched.alpha_bars[t_now]
-            ab_next = sched.alpha_bars[t_next]
+            ab_now = float(sched.alpha_bars[t_now])
+            ab_next = float(sched.alpha_bars[t_next])
             if stochastic:
-                eps = rng.standard_normal(x.shape)
+                eps = rng.standard_normal(x.shape).astype(dtype)
             else:
                 # deterministic update: reuse the noise implied by x and x0_hat
-                eps = (x - np.sqrt(ab_now) * x0_hat) / np.sqrt(1.0 - ab_now)
-            x = np.sqrt(ab_next) * x0_hat + np.sqrt(1.0 - ab_next) * eps
+                eps = (x - math.sqrt(ab_now) * x0_hat) / math.sqrt(1.0 - ab_now)
+            x = math.sqrt(ab_next) * x0_hat + math.sqrt(1.0 - ab_next) * eps
 
     confidence = feats @ params.W_conf + params.b_conf
     mapping = sigmoid(feats @ params.W_map + params.b_map)

@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, DataError, ShapeError
 from .rwkv7 import (
-    DEFAULT_CHUNK,
     RecurrentState,
     RwkvBlockParams,
     forward_stack,
@@ -129,9 +128,12 @@ class FusionParams:
     def n_heads(self) -> int:
         return self.blocks[0].n_heads
 
-    def fresh_state(self, dtype=None) -> RecurrentState:
-        dtype = dtype or self.pos_emb.dtype
-        return RecurrentState.zeros(self.d, self.n_heads, self.n_layers, dtype)
+    @property
+    def dtype(self) -> np.dtype:
+        return self.pos_emb.dtype
+
+    def fresh_state(self) -> RecurrentState:
+        return RecurrentState.zeros(self.d, self.n_heads, self.n_layers, self.dtype)
 
 
 def random_fusion_params(
@@ -219,18 +221,18 @@ def pad_history(
 def fuse_parallel(
     seq: np.ndarray,
     params: FusionParams,
-    max_chunk: int = DEFAULT_CHUNK,
 ) -> np.ndarray:
     """Fuse a whole multi-frame sequence in chunk-parallel mode, fresh state."""
-    state = params.fresh_state(dtype=np.asarray(seq).dtype)
-    return forward_stack(seq, params.blocks, state, "chunked", max_chunk)
+    seq = np.asarray(seq)
+    if seq.dtype != params.dtype:
+        raise DataError(f"sequence dtype {seq.dtype} is not the params' {params.dtype}")
+    return forward_stack(seq, params.blocks, params.fresh_state(), "chunked")
 
 
 def fuse_step(
     frame: FrameTokens,
     params: FusionParams,
     state: RecurrentState,
-    max_chunk: int = DEFAULT_CHUNK,
 ) -> tuple[np.ndarray, RecurrentState]:
     """Consume one frame against the temporal hidden state.
 
@@ -243,8 +245,10 @@ def fuse_step(
         )
     if frame.d != params.d:
         raise ConfigError(f"frame width {frame.d} != fusion width {params.d}")
+    if {frame.camera.dtype, frame.lidar.dtype} != {params.dtype}:
+        raise DataError(f"frame {frame.t} dtype is not the params' {params.dtype}")
     seq = build_frame_sequence([frame], params.pos_emb)
-    fused = forward_stack(seq, params.blocks, state, "chunked", max_chunk)
+    fused = forward_stack(seq, params.blocks, state, "chunked")
     return fused, state
 
 
@@ -359,9 +363,9 @@ def feature_state_dropout(
 class FusionSession:
     """A streaming inference session: params + state + frame counter."""
 
-    def __init__(self, params: FusionParams, dtype=None):
+    def __init__(self, params: FusionParams):
         self.params = params
-        self.state = params.fresh_state(dtype)
+        self.state = params.fresh_state()
         self.frames_seen = 0
 
     def step(self, frame: FrameTokens) -> np.ndarray:

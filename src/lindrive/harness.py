@@ -208,7 +208,7 @@ def _linear_stream(T: int, cfg: BenchConfig):
     frames = gen_synthetic_frames(
         T, cfg.seed, cfg.drift, cfg.l_camera, cfg.l_lidar, cfg.d, cfg.dtype
     )
-    session = FusionSession(params, dtype=cfg.dtype)
+    session = FusionSession(params)
     per_frame = []
     fused = None
     for frame in frames:

@@ -1,9 +1,12 @@
 """RWKV-7 block primitives: element projections, delta-rule state recurrence
 in sequential and chunk-parallel form, time mixing and channel mixing.
 
-The chunk-parallel form is one kernel, chunk_readouts, which every chunked
-caller (fusion, cross-attention) runs; it never materialises the per-step
-states. state_step is its sequential reference.
+A block has one body, run over tiles of tokens: element projection,
+recurrence, time-mix readout, channel mix. Its two modes differ only in the
+recurrence. Chunked mode runs chunk_readouts, the chunk-parallel kernel that
+fusion and cross-attention use, which never materialises the per-step
+states; sequential mode runs sequential_readouts, the reference that steps
+state_step token by token.
 
 Everything is plain numpy and dtype-preserving: float64 for oracle work,
 float32 for benchmarks. A block holds no state of its own; callers own a
@@ -376,27 +379,6 @@ def _compute_elements(x, x_prev, params: RwkvBlockParams, layer: int, v0):
     )
 
 
-def project_elements(
-    x_t,
-    params: RwkvBlockParams,
-    state: RecurrentState,
-    layer: int = 0,
-    v0=None,
-) -> ElementSet:
-    """Compute all elements for one token and advance the time-mix shift cache."""
-    if layer >= 1 and v0 is None:
-        raise ContractError("layers >= 1 need the layer-0 value v0")
-    x_t = np.asarray(x_t)
-    if x_t.shape != (params.d,):
-        raise ShapeError(f"token must have shape ({params.d},), got {x_t.shape}")
-    x = x_t[None, :]
-    x_prev = state.shift_tm[layer][None, :]
-    v0_rows = None if v0 is None else np.asarray(v0)[None, :]
-    e = _compute_elements(x, x_prev, params, layer, v0_rows)
-    state.shift_tm[layer] = x_t
-    return ElementSet(**{f: getattr(e, f)[0] for f in e.__dataclass_fields__})
-
-
 def project_elements_seq(
     X,
     params: RwkvBlockParams,
@@ -528,10 +510,22 @@ def chunk_readouts(S_in, e: ElementSet, r_heads, max_chunk: int = DEFAULT_CHUNK)
     return y, S
 
 
-def _finish_readout(e: ElementSet, y, params: RwkvBlockParams):
+def sequential_readouts(S_in, e: ElementSet, r_heads):
+    """Sequential reference for chunk_readouts, with the same arguments and
+    returns: steps state_step token by token and reads out y_t = S_t r_t^T."""
+    y = np.empty_like(r_heads)
+    S = S_in
+    for t in range(e.w.shape[0]):
+        S = state_step(S, ElementSet(**{f: x[t] for f, x in vars(e).items()}))
+        y[t] = np.einsum("hvk,hk->hv", S, r_heads[t])
+    return y, S
+
+
+def time_mix_output(e: ElementSet, y, params: RwkvBlockParams):
     """Per-head LayerNorm, readout bonus, gate and output projection.
 
-    `y` holds the raw state readouts S_t r_t, shaped (T, n_heads, head_dim).
+    `y` holds the raw state readouts S_t r_t, shaped (T, n_heads, head_dim);
+    returns (T, d).
     """
     H = params.n_heads
     r = _split_heads(e.r, H)
@@ -549,57 +543,37 @@ def _finish_readout(e: ElementSet, y, params: RwkvBlockParams):
     return (e.g * p) @ params.W_o
 
 
-def _readout(e: ElementSet, states, params: RwkvBlockParams):
-    """Time-mix readout for stacked elements/states; returns (T, d)."""
-    y = np.einsum("thvk,thk->thv", states, _split_heads(e.r, params.n_heads))
-    return _finish_readout(e, y, params)
-
-
-def time_mix_output(e: ElementSet, S_t, params: RwkvBlockParams):
-    """Gated time-mix output for one token given its post-update state."""
-    batch = ElementSet(**{f: getattr(e, f)[None, :] for f in e.__dataclass_fields__})
-    return _readout(batch, S_t[None, ...], params)[0]
-
-
-def channel_mix(
-    x_t, params: RwkvBlockParams, state: RecurrentState, layer: int = 0
-):
-    """Squared-ReLU channel mixing with its own token shift cache."""
-    x_t = np.asarray(x_t)
-    h = lerp(x_t, state.shift_cm[layer], params.mu_ffn) @ params.W_ffn_k
-    state.shift_cm[layer] = x_t
-    return np.square(np.maximum(h, 0.0)) @ params.W_ffn_v
-
-
-def _channel_mix_seq(X, params: RwkvBlockParams, state: RecurrentState, layer: int):
+def channel_mix(X, params: RwkvBlockParams, state: RecurrentState, layer: int = 0):
+    """Squared-ReLU channel mixing of the rows of X with its own token shift
+    cache."""
     x_prev = np.vstack([state.shift_cm[layer][None, :], X[:-1]])
     h = lerp(X, x_prev, params.mu_ffn) @ params.W_ffn_k
     state.shift_cm[layer] = X[-1]
     return np.square(np.maximum(h, 0.0)) @ params.W_ffn_v
 
 
-# tokens per outer tile of the chunked path
+# the recurrence each block_apply mode runs; nothing else differs
+_RECURRENCES = {"sequential": sequential_readouts, "chunked": chunk_readouts}
+# tokens per outer tile of block_apply
 _CHUNK_TILE = 512
 
 
-def _chunked_tile(
+def _block_tile(
     tokens,
     params: RwkvBlockParams,
     state: RecurrentState,
     layer: int,
     v0_seq,
-    max_chunk: int,
+    recur,
 ):
-    """One tile of the chunk-parallel path: project, recur, read out, mix."""
+    """One tile of a block: project, recur, read out, mix."""
     xn = layer_norm(tokens, params.ln1_w, params.ln1_b)
     e = project_elements_seq(xn, params, state, layer, v0_seq)
-    y, state.S[layer] = chunk_readouts(
-        state.S[layer], e, _split_heads(e.r, params.n_heads), max_chunk
-    )
+    y, state.S[layer] = recur(state.S[layer], e, _split_heads(e.r, params.n_heads))
     # the readout is finished in the token dtype
-    x = tokens + _finish_readout(e, y.astype(tokens.dtype, copy=False), params)
+    x = tokens + time_mix_output(e, y.astype(tokens.dtype, copy=False), params)
     xn2 = layer_norm(x, params.ln2_w, params.ln2_b)
-    return x + _channel_mix_seq(xn2, params, state, layer), e.v0
+    return x + channel_mix(xn2, params, state, layer), e.v0
 
 
 def block_apply(
@@ -609,59 +583,36 @@ def block_apply(
     layer: int = 0,
     v0_seq=None,
     mode: str = "sequential",
-    max_chunk: int = DEFAULT_CHUNK,
 ):
     """Run one block over `tokens`, mutating `state` at `layer`.
 
     Returns (outputs, v0_seq) where v0_seq stacks the layer-0 values needed
     by deeper layers of a stack. Both modes produce the same outputs and the
-    same final state; sequential iterates the recurrence token by token,
-    chunked batches it through chunk_readouts. `state.tokens_seen` is left
-    to forward_stack, which counts a stack's tokens once.
+    same final state and differ only in the recurrence: sequential steps
+    state_step token by token, chunked runs chunk_readouts.
+    `state.tokens_seen` is left to forward_stack, which counts a stack's
+    tokens once.
     """
-    if mode not in ("sequential", "chunked"):
+    if mode not in _RECURRENCES:
         raise ConfigError(f"unknown mode {mode!r}")
-    if mode == "chunked" and max_chunk < 1:
-        raise ConfigError("chunked mode needs max_chunk >= 1")
     tokens = np.asarray(tokens)
+    if tokens.size == 0:
+        tokens = tokens.reshape(0, params.d)
     if tokens.ndim != 2 or tokens.shape[1] != params.d:
-        if tokens.size == 0:
-            tokens = tokens.reshape(0, params.d)
-        else:
-            raise ShapeError(
-                f"tokens must be (T, {params.d}), got {tokens.shape}"
-            )
-    T = tokens.shape[0]
-    if T == 0:
-        return tokens.copy(), np.zeros((0, params.d), dtype=tokens.dtype)
-
-    if mode == "sequential":
-        out = np.empty_like(tokens)
-        v0_out = np.empty_like(tokens)
-        for t in range(T):
-            x = tokens[t]
-            xn = layer_norm(x, params.ln1_w, params.ln1_b)
-            v0_t = None if v0_seq is None else v0_seq[t]
-            e = project_elements(xn, params, state, layer, v0_t)
-            S_new = state_step(state.S[layer], e)
-            state.S[layer] = S_new
-            x = x + time_mix_output(e, S_new, params)
-            xn2 = layer_norm(x, params.ln2_w, params.ln2_b)
-            x = x + channel_mix(xn2, params, state, layer)
-            out[t] = x
-            v0_out[t] = e.v0
-    else:
-        # outer tiles bound the working set so long sequences stay cache
-        # resident; the recurrence semantics are tile-invariant because all
-        # cross-token memory lives in `state`
-        out = np.empty_like(tokens)
-        v0_out = np.empty_like(tokens)
-        for lo in range(0, T, _CHUNK_TILE):
-            hi = min(lo + _CHUNK_TILE, T)
-            v0_tile = None if v0_seq is None else v0_seq[lo:hi]
-            out[lo:hi], v0_out[lo:hi] = _chunked_tile(
-                tokens[lo:hi], params, state, layer, v0_tile, max_chunk
-            )
+        raise ShapeError(
+            f"tokens must be (T, {params.d}), got {tokens.shape}"
+        )
+    # outer tiles bound the working set so long sequences stay cache
+    # resident; the recurrence semantics are tile-invariant because all
+    # cross-token memory lives in `state`
+    out = np.empty_like(tokens)
+    v0_out = np.empty_like(tokens)
+    for lo in range(0, tokens.shape[0], _CHUNK_TILE):
+        hi = min(lo + _CHUNK_TILE, tokens.shape[0])
+        v0_tile = None if v0_seq is None else v0_seq[lo:hi]
+        out[lo:hi], v0_out[lo:hi] = _block_tile(
+            tokens[lo:hi], params, state, layer, v0_tile, _RECURRENCES[mode]
+        )
     return out, v0_out
 
 
@@ -670,10 +621,9 @@ def block_forward(
     params: RwkvBlockParams,
     state: RecurrentState,
     mode: str = "sequential",
-    max_chunk: int = DEFAULT_CHUNK,
 ):
     """Single-block forward (layer 0 semantics). Returns (outputs, state)."""
-    return forward_stack(tokens, [params], state, mode, max_chunk), state
+    return forward_stack(tokens, [params], state, mode), state
 
 
 def forward_stack(
@@ -681,7 +631,6 @@ def forward_stack(
     blocks: list[RwkvBlockParams],
     state: RecurrentState,
     mode: str = "sequential",
-    max_chunk: int = DEFAULT_CHUNK,
 ):
     """Run a stack of blocks, threading the layer-0 value residual through
     and adding the consumed tokens to `state.tokens_seen`."""
@@ -692,7 +641,7 @@ def forward_stack(
     x = np.asarray(tokens)
     v0_seq = None
     for layer, params in enumerate(blocks):
-        x, v0 = block_apply(x, params, state, layer, v0_seq, mode, max_chunk)
+        x, v0 = block_apply(x, params, state, layer, v0_seq, mode)
         if layer == 0:
             v0_seq = v0
             state.tokens_seen += x.shape[0]

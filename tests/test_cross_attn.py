@@ -36,12 +36,16 @@ class TestEncodeQuery:
         assert encode_query(make_queries(m, 8, seed=m), p).m == m
 
     def test_matches_block_oracle(self):
+        # bit-exact against the chunked block it runs, and within 1e-10 of
+        # the sequential reference block
         p = random_block_params(8, n_heads=2, seed=4)
         q = make_queries(4, 8, seed=5)
-        enc = encode_query(q, p, mode="sequential")
-        state = RecurrentState.zeros(8, 2)
-        want, _ = block_forward(q.tokens, p, state, mode="sequential")
-        np.testing.assert_array_equal(enc.tokens, want)
+        enc = encode_query(q, p)
+        want = {}
+        for mode in ("chunked", "sequential"):
+            want[mode], _ = block_forward(q.tokens, p, RecurrentState.zeros(8, 2), mode)
+        np.testing.assert_array_equal(enc.tokens, want["chunked"])
+        np.testing.assert_allclose(enc.tokens, want["sequential"], atol=1e-10)
 
     def test_no_state_leak_between_calls(self):
         p = random_block_params(8, seed=6)

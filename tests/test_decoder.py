@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from lindrive import decoder as decoder_module
 from lindrive.cross_attn import QuerySet, attend
 from lindrive.decoder import (
     AnchorSet,
@@ -276,6 +277,30 @@ class TestDecoderParams:
         dtypes = [a.dtype for a in arrays(params)]
         assert len(dtypes) > 200
         assert set(dtypes) == {np.dtype(np.float32)}
+
+    @pytest.mark.parametrize("stochastic", [False, True])
+    def test_float32_decoding_stays_float32(self, monkeypatch, stochastic):
+        params = random_decoder_params(8, n_layers=2, seed=32, dtype=np.float32)
+        b = make_bundle(seed=4)
+        bundle = BevBundle(
+            b.bev_tokens.astype(np.float32),
+            b.ego_token.astype(np.float32),
+            b.pos_emb.astype(np.float32),
+        )
+        agent_q = derive_agent_queries(bundle, params)
+        anchors = cluster_anchors(gen_trajectory_dataset(30, seed=25), 6, seed=26)
+        seen = []
+
+        def spy(noisy, *args):
+            seen.append(np.asarray(noisy).dtype)
+            return decoder_layer(noisy, *args)
+
+        monkeypatch.setattr(decoder_module, "decoder_layer", spy)
+        out = decode(anchors, bundle, agent_q, params, seed=33, stochastic=stochastic)
+        assert len(seen) == 4  # 2 steps x 2 layers
+        assert set(seen) == {np.dtype(np.float32)}
+        for heads in (out.confidence, out.on_road, out.on_route):
+            assert heads.dtype == np.float32
 
 
 class TestSelectBest:

@@ -146,7 +146,7 @@ class TestFusionModes:
         frames = gen_synthetic_frames(101, 91, d=64, dtype=np.float32)
         t2, t100 = [], []
         for _ in range(7):
-            session = FusionSession(params, dtype=np.float32)
+            session = FusionSession(params)
             per = []
             for f in frames:
                 t0 = time.perf_counter()
@@ -162,6 +162,25 @@ class TestFusionModes:
         bad = FrameTokens(camera=np.zeros((4, 6)), lidar=np.zeros((4, 6)), t=0)
         with pytest.raises(ConfigError):
             fuse_step(bad, params, params.fresh_state())
+
+    def test_step_rejects_other_dtype(self):
+        # a float64 frame must not run a float32 stream in float64
+        params = random_fusion_params(8, 2, 1, 8, seed=12, dtype=np.float32)
+        session = FusionSession(params)
+        before = session.state.copy()
+        with pytest.raises(DataError):
+            session.step(frames_fixture(1, seed=13)[0])
+        np.testing.assert_array_equal(session.state.S, before.S)
+        np.testing.assert_array_equal(session.state.shift_tm, before.shift_tm)
+        np.testing.assert_array_equal(session.state.shift_cm, before.shift_cm)
+        assert session.state.tokens_seen == 0 and session.frames_seen == 0
+
+    def test_parallel_rejects_other_dtype(self):
+        # float64 frames plus the float32 table build a float64 sequence
+        params = random_fusion_params(8, 2, 1, 8, seed=14, dtype=np.float32)
+        seq = build_frame_sequence(frames_fixture(2, seed=15), params.pos_emb)
+        with pytest.raises(DataError):
+            fuse_parallel(seq, params)
 
     def test_split_fused_layout(self):
         fused = np.arange(32.0).reshape(16, 2)

@@ -20,8 +20,9 @@ from lindrive.rwkv7 import (
     layer_norm,
     lerp,
     loramlp,
-    project_elements,
+    project_elements_seq,
     random_block_params,
+    sequential_readouts,
     state_step,
     time_mix_output,
 )
@@ -122,6 +123,13 @@ def sequential_states(S_in, e, n_heads):
     return np.stack(states), S
 
 
+def project_one(x, p, state, layer=0, v0=None):
+    """Elements of one token through the batched projection, as (d,) rows."""
+    v0_seq = None if v0 is None else np.asarray(v0)[None, :]
+    e = project_elements_seq(np.asarray(x)[None, :], p, state, layer, v0_seq)
+    return ElementSet(**{f: getattr(e, f)[0] for f in e.__dataclass_fields__})
+
+
 def make_elements(T, d, n_heads=1, seed=0, dtype=np.float64):
     """Random but well-scaled element batch, bypassing the projections."""
     rng = np.random.default_rng(seed)
@@ -196,14 +204,14 @@ class TestProjectElements:
         for W in (p.W_r, p.W_k, p.W_v, p.W_o, p.lora_w.A, p.lora_w.B):
             W[...] = 0.0
         state = RecurrentState.zeros(4, 1)
-        e = project_elements(np.array([3.0, -1.0, 0.5, 2.0]), p, state)
+        e = project_one(np.array([3.0, -1.0, 0.5, 2.0]), p, state)
         expected = np.exp(-math.exp(-0.5) / (1.0 + np.exp(-p.lora_w.bias)))
         np.testing.assert_allclose(e.w, expected, rtol=1e-12)
 
     def test_layer0_value_is_v0(self):
         p = random_block_params(4, seed=1)
         state = RecurrentState.zeros(4, 1)
-        e = project_elements(np.arange(4.0), p, state, layer=0)
+        e = project_one(np.arange(4.0), p, state, layer=0)
         np.testing.assert_array_equal(e.v, e.v0)
 
     def test_matches_scalar_oracle_seed42(self):
@@ -213,7 +221,7 @@ class TestProjectElements:
         x_prev = rng.standard_normal(4)
         x = rng.standard_normal(4)
         state.shift_tm[0] = x_prev
-        e = project_elements(x, p, state)
+        e = project_one(x, p, state)
         want = scalar_elements(x.tolist(), x_prev.tolist(), p)
         for name, vals in want.items():
             np.testing.assert_allclose(
@@ -228,7 +236,7 @@ class TestProjectElements:
         rng = np.random.default_rng(8)
         x = rng.standard_normal(4)
         v0 = rng.standard_normal(4)
-        e = project_elements(x, p, state, layer=2, v0=v0)
+        e = project_one(x, p, state, layer=2, v0=v0)
         want = scalar_elements(x.tolist(), [0.0] * 4, p, layer=2, v0=v0.tolist())
         np.testing.assert_allclose(e.v, want["v"], rtol=1e-12)
         np.testing.assert_array_equal(e.v0, v0)
@@ -237,7 +245,7 @@ class TestProjectElements:
         p = random_block_params(4, seed=2)
         state = RecurrentState.zeros(4, 1)
         with pytest.raises(ContractError):
-            project_elements(np.zeros(4), p, state, layer=1)
+            project_one(np.zeros(4), p, state, layer=1)
 
     def test_w_range_bounds_wild_inputs(self):
         # the decay path is tanh-bounded, so even huge inputs stay in range
@@ -245,7 +253,7 @@ class TestProjectElements:
         state = RecurrentState.zeros(8, 1)
         rng = np.random.default_rng(4)
         for scale in (1.0, 10.0, 1e4):
-            e = project_elements(rng.standard_normal(8) * scale, p, state)
+            e = project_one(rng.standard_normal(8) * scale, p, state)
             assert np.all(e.w > rwkv7.W_LOWER_BOUND)
             assert np.all(e.w < 1.0)
 
@@ -254,7 +262,7 @@ class TestProjectElements:
         state = RecurrentState.zeros(8, 1)
         rng = np.random.default_rng(4)
         for _ in range(50):
-            e = project_elements(rng.standard_normal(8), p, state)
+            e = project_one(rng.standard_normal(8), p, state)
             assert np.all((e.a > 0) & (e.a < 1))
             assert np.all((e.nu > 0) & (e.nu < 1))
 
@@ -359,6 +367,16 @@ class TestChunkForward:
         np.testing.assert_allclose(got, want, atol=1e-10)
         np.testing.assert_allclose(got_final, want_final, atol=1e-10)
 
+    def test_sequential_readouts_read_post_update_state(self):
+        # the reference recurrence reads out y_t = S_t r_t after each step
+        e = make_elements(6, 8, n_heads=2, seed=16)
+        S_in = np.random.default_rng(1).standard_normal((2, 4, 4))
+        r = e.r.reshape(6, 2, 4)
+        states, want_final = sequential_states(S_in, e, 2)
+        y, S_out = sequential_readouts(S_in, e, r)
+        np.testing.assert_allclose(y, np.einsum("thvk,thk->thv", states, r), atol=1e-12)
+        np.testing.assert_array_equal(S_out, want_final)
+
     def test_split_invariance(self):
         # 16 tokens processed as one chunk, 8+8, or 4x4 give the same
         # readouts and end in the same state
@@ -380,9 +398,8 @@ class TestTimeMix:
     def test_closed_gate_zero_output(self):
         p = random_block_params(8, n_heads=2, seed=16)
         e = make_elements(1, 8, 2, seed=17)
-        step = ElementSet(**{f: getattr(e, f)[0] for f in e.__dataclass_fields__})
-        step.g = np.zeros(8)
-        out = time_mix_output(step, np.zeros((2, 4, 4)), p)
+        e.g = np.zeros((1, 8))
+        out = time_mix_output(e, np.zeros((1, 2, 4)), p)[0]
         np.testing.assert_array_equal(out, np.zeros(8))
 
     def test_collapsed_terms_leave_norm_bias(self):
@@ -391,9 +408,8 @@ class TestTimeMix:
         p.ln_out_b[...] = np.arange(4.0)
         p.W_o[...] = np.eye(4)
         e = make_elements(1, 4, seed=19)
-        step = ElementSet(**{f: getattr(e, f)[0] for f in e.__dataclass_fields__})
-        step.g = np.ones(4)
-        out = time_mix_output(step, np.zeros((1, 4, 4)), p)
+        e.g = np.ones((1, 4))
+        out = time_mix_output(e, np.zeros((1, 1, 4)), p)[0]
         np.testing.assert_allclose(out, p.ln_out_b, atol=1e-12)
 
     def test_matches_scalar_oracle_d2(self):
@@ -419,7 +435,8 @@ class TestTimeMix:
             gp[0] * p.W_o[0, 0] + gp[1] * p.W_o[1, 0],
             gp[0] * p.W_o[0, 1] + gp[1] * p.W_o[1, 1],
         ]
-        out = time_mix_output(step, S, p)
+        # the readout y = S r enters as (T=1, heads=1, head_dim=2)
+        out = time_mix_output(e, np.array(y).reshape(1, 1, 2), p)[0]
         np.testing.assert_allclose(out, want, rtol=1e-12)
 
 
@@ -427,14 +444,15 @@ class TestChannelMix:
     def test_zero_in_zero_out(self):
         p = random_block_params(4, seed=22)
         state = RecurrentState.zeros(4, 1)
-        out = channel_mix(np.zeros(4), p, state)
+        out = channel_mix(np.zeros((1, 4)), p, state)[0]
         np.testing.assert_array_equal(out, np.zeros(4))
 
     def test_negative_preactivation_clamps(self):
         p = random_block_params(4, seed=23)
         p.W_ffn_k[...] = -np.abs(p.W_ffn_k)
         state = RecurrentState.zeros(4, 1)
-        out = channel_mix(np.abs(np.random.default_rng(0).standard_normal(4)), p, state)
+        x = np.abs(np.random.default_rng(0).standard_normal((1, 4)))
+        out = channel_mix(x, p, state)[0]
         np.testing.assert_array_equal(out, np.zeros(4))
 
     def test_matches_scalar_oracle_d2(self):
@@ -451,7 +469,7 @@ class TestChannelMix:
             for j in range(3)
         ]
         want = [sum(h[j] * p.W_ffn_v[j, i] for j in range(3)) for i in range(2)]
-        out = channel_mix(np.array(x), p, state)
+        out = channel_mix(np.array([x]), p, state)[0]
         np.testing.assert_allclose(out, want, rtol=1e-12)
         np.testing.assert_array_equal(state.shift_cm[0], x)
 
@@ -532,6 +550,35 @@ class TestBlockForward:
         out_b = forward_stack(tokens, blocks, sb, mode="chunked")
         np.testing.assert_allclose(out_b, out_a, atol=1e-10)
         np.testing.assert_allclose(sb.S, sa.S, atol=1e-10)
+
+
+def tile_crossing_case():
+    """A 2-layer stack and 1,100 tokens: both modes cross the 512-token outer
+    tile twice."""
+    blocks = [random_block_params(16, n_heads=4, seed=60 + i) for i in range(2)]
+    tokens = np.random.default_rng(62).standard_normal((1100, 16))
+    return blocks, tokens, lambda: RecurrentState.zeros(16, 4, n_layers=2)
+
+
+class TestTileBoundary:
+    def test_stack_mode_equivalence(self):
+        blocks, tokens, fresh = tile_crossing_case()
+        s_seq, s_chk = fresh(), fresh()
+        out_seq = forward_stack(tokens, blocks, s_seq, mode="sequential")
+        out_chk = forward_stack(tokens, blocks, s_chk, mode="chunked")
+        np.testing.assert_allclose(out_chk, out_seq, atol=1e-10)
+        np.testing.assert_allclose(s_chk.S, s_seq.S, atol=1e-10)
+
+    @pytest.mark.parametrize("mode", ["sequential", "chunked"])
+    def test_split_at_700_matches_unsplit(self, mode):
+        blocks, tokens, fresh = tile_crossing_case()
+        s_full, s_split = fresh(), fresh()
+        out_full = forward_stack(tokens, blocks, s_full, mode=mode)
+        out_a = forward_stack(tokens[:700], blocks, s_split, mode=mode)
+        out_b = forward_stack(tokens[700:], blocks, s_split, mode=mode)
+        np.testing.assert_allclose(np.vstack([out_a, out_b]), out_full, atol=1e-10)
+        np.testing.assert_allclose(s_split.S, s_full.S, atol=1e-10)
+        assert s_split.tokens_seen == s_full.tokens_seen == 1100
 
 
 class TestProperties:
