@@ -1,14 +1,18 @@
 """Linear cross-attention.
 
-M query tokens attend to L feature tokens at cost linear in L + M: the
-queries are first self-encoded by one RWKV-7 block, then the concatenated
-sequence [features; queries] runs through a second block whose recurrent
-state carries feature information forward into the query positions. The
-last M outputs are the cross-attended queries. No attention matrix exists.
-Both blocks always run chunk-parallel (rwkv7.chunk_readouts).
+M query tokens attend to L feature tokens at cost linear in L + M, in two
+steps. feature_state reads the features into a fresh recurrent state of the
+mixing block with one chunk-parallel pass (rwkv7.chunk_readouts); read_state
+then runs every query through the mixer as its own single next token after
+that state (rwkv7.block_branch). The queries are independent: query i sees
+the features and itself, never another query, so permuting the queries
+permutes the outputs, and one feature state serves any number of reads.
+encode_query is the same branch step of the encoder block from a zero
+state. No attention matrix exists.
 
-Both operations use a fresh recurrent state per call, so they are pure
-functions of their inputs and independent calls may run in parallel.
+Every step runs in the dtype of its block's parameters; features or
+queries in another dtype raise DataError. Each call starts from a fresh
+state, so the functions are pure and independent calls may run in parallel.
 """
 
 from __future__ import annotations
@@ -17,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError
-from .rwkv7 import RecurrentState, RwkvBlockParams, block_forward
+from .errors import DataError, ShapeError
+from .rwkv7 import RecurrentState, RwkvBlockParams, block_branch, block_forward
 
 
 @dataclass
@@ -43,7 +47,7 @@ class QuerySet:
 
 @dataclass
 class CrossAttnParams:
-    """One encoder block for the queries, one block for the joint pass."""
+    """One block that encodes the queries, one that mixes features into them."""
 
     encoder: RwkvBlockParams
     mixer: RwkvBlockParams
@@ -53,18 +57,40 @@ class CrossAttnParams:
         return self.mixer.d
 
 
+def _check_dtype(what: str, tokens, params: RwkvBlockParams) -> None:
+    if tokens.dtype != params.dtype:
+        raise DataError(f"{what} dtype {tokens.dtype} is not the block's {params.dtype}")
+
+
 def encode_query(
     q: QuerySet,
     enc_params: RwkvBlockParams,
 ) -> QuerySet:
-    """Self-encode the queries' positional dependencies with one block."""
-    if q.d != enc_params.d:
-        raise ShapeError(f"query width {q.d} != block width {enc_params.d}")
-    state = RecurrentState.zeros(
-        enc_params.d, enc_params.n_heads, dtype=q.tokens.dtype
-    )
-    out, _ = block_forward(q.tokens, enc_params, state, "chunked")
-    return QuerySet(out)
+    """Encode every query on its own with one block, from a zero state."""
+    _check_dtype("query", q.tokens, enc_params)
+    state = RecurrentState.zeros(enc_params.d, enc_params.n_heads, dtype=enc_params.dtype)
+    return QuerySet(block_branch(q.tokens, enc_params, state))
+
+
+def feature_state(features, mixer: RwkvBlockParams) -> RecurrentState:
+    """Read the feature tokens into a fresh state of the mixing block: one
+    chunk-parallel pass, cost linear in L."""
+    features = np.asarray(features)
+    _check_dtype("feature", features, mixer)
+    state = RecurrentState.zeros(mixer.d, mixer.n_heads, dtype=mixer.dtype)
+    block_forward(features, mixer, state, "chunked")
+    return state
+
+
+def read_state(
+    state: RecurrentState,
+    q_enc: QuerySet,
+    mixer: RwkvBlockParams,
+) -> QuerySet:
+    """Let every encoded query read a feature state as its own next token;
+    the state is not changed, so it can serve any number of reads."""
+    _check_dtype("query", q_enc.tokens, mixer)
+    return QuerySet(block_branch(q_enc.tokens, mixer, state))
 
 
 def cross_attend(
@@ -74,27 +100,12 @@ def cross_attend(
 ) -> QuerySet:
     """Let the encoded queries read the feature tokens.
 
-    Runs [features; queries] through the mixing block from a fresh state and
-    returns the last M outputs. Cost is linear in L + M. The recurrence is
-    strictly causal: query position i never sees query positions > i.
+    Reads the features into a feature state, then every query reads that
+    state; cost is linear in L + M. The queries are independent: output i
+    depends on the features and on query i alone, and equals the last
+    output of the mixing block run over [features; query i].
     """
-    features = np.asarray(features)
-    if features.size == 0:
-        features = features.reshape(0, q_enc.d)
-    if features.ndim != 2 or features.shape[1] != q_enc.d:
-        raise ShapeError(
-            f"features must be (L, {q_enc.d}), got {features.shape}"
-        )
-    if q_enc.d != xattn_params.d:
-        raise ShapeError(
-            f"query width {q_enc.d} != block width {xattn_params.d}"
-        )
-    seq = np.vstack([features, q_enc.tokens])
-    state = RecurrentState.zeros(
-        xattn_params.d, xattn_params.n_heads, dtype=seq.dtype
-    )
-    out, _ = block_forward(seq, xattn_params, state, "chunked")
-    return QuerySet(out[-q_enc.m:])
+    return read_state(feature_state(features, xattn_params), q_enc, xattn_params)
 
 
 def attend(
@@ -104,6 +115,16 @@ def attend(
 ) -> QuerySet:
     """encode_query then cross_attend, the usual composite."""
     return cross_attend(features, encode_query(q, params.encoder), params.mixer)
+
+
+def attend_state(
+    state: RecurrentState,
+    q: QuerySet,
+    params: CrossAttnParams,
+) -> QuerySet:
+    """encode_query then read_state: attend against a feature state that
+    feature_state built once with params.mixer."""
+    return read_state(state, encode_query(q, params.encoder), params.mixer)
 
 
 def random_cross_attn_params(

@@ -6,6 +6,9 @@ Each decoder layer embeds the trajectories as tokens, cross-attends them
 against the BEV bundle and against agent queries through linear
 cross-attention, applies a feed-forward update and projects back to waypoint
 deltas. Confidence, mapping and prediction heads read the final features.
+The BEV and agent tokens are read into each layer's feature states once per
+decode call; every mode then reads those states on its own, so the modes
+are treated symmetrically and refine as one batch.
 
 Head training is out of scope here: heads run with seeded random weights,
 so everything downstream asserts shapes, ranges and determinism rather than
@@ -22,10 +25,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .cross_attn import CrossAttnParams, QuerySet, attend, random_cross_attn_params
+from .cross_attn import (
+    CrossAttnParams,
+    QuerySet,
+    attend,
+    attend_state,
+    feature_state,
+    random_cross_attn_params,
+)
 from .errors import ConfigError, ContractError, DataError, ShapeError
 from .fusion import BevBundle
-from .rwkv7 import sigmoid
+from .rwkv7 import RecurrentState, sigmoid
 
 DT = 0.5  # 2 Hz waypoint grid
 DEFAULT_HORIZON = 8  # waypoints, 4 seconds
@@ -341,17 +351,24 @@ def derive_agent_queries(bev: BevBundle, params: DecoderParams) -> QuerySet:
 
 def decoder_layer(
     noisy: np.ndarray,
-    bev: BevBundle,
-    agent_q: QuerySet,
+    bev_state: RecurrentState,
+    agent_state: RecurrentState,
     lp: DecoderLayerParams,
 ):
-    """Refine (K, N, 3) trajectories once; returns (refined, mode features)."""
+    """Refine (K, N, 3) trajectories once; returns (refined, mode features).
+
+    `bev_state` and `agent_state` are the feature states of the BEV tokens
+    and of the agent queries under the layer's two mixing blocks
+    (cross_attn.feature_state). Every mode reads them on its own, so the
+    layer treats the modes symmetrically: permuting the modes permutes the
+    outputs.
+    """
     noisy = np.asarray(noisy)
     k_m = noisy.shape[0]
     flat = noisy.reshape(k_m, -1)
     x = flat @ lp.W_embed + lp.b_embed
-    x = attend(bev.tokens(), QuerySet(x), lp.bev_attn).tokens
-    x = attend(agent_q.tokens, QuerySet(x), lp.agent_attn).tokens
+    x = attend_state(bev_state, QuerySet(x), lp.bev_attn).tokens
+    x = attend_state(agent_state, QuerySet(x), lp.agent_attn).tokens
     x = x + np.maximum(x @ lp.W_ff1, 0.0) @ lp.W_ff2
     delta = x @ lp.W_delta + lp.b_delta
     return (flat + delta).reshape(noisy.shape), x
@@ -392,12 +409,20 @@ def decode(
     x = corrupt_anchors(anchors, sched, sched.truncate_at, seed).astype(dtype)
     # e.g. 2 steps from truncation 50: evaluate at 50 and 25, land on 0
     t_grid = np.linspace(sched.truncate_at, 0, steps + 1).round().astype(int)
+    # the features are the same at every step: read them once per layer
+    states = [
+        (
+            feature_state(bev.tokens(), lp.bev_attn.mixer),
+            feature_state(agent_q.tokens, lp.agent_attn.mixer),
+        )
+        for lp in params.layers
+    ]
     feats = None
     for i in range(steps):
         t_now, t_next = int(t_grid[i]), int(t_grid[i + 1])
         x0_hat = x
-        for lp in params.layers:
-            x0_hat, feats = decoder_layer(x0_hat, bev, agent_q, lp)
+        for lp, (bev_state, agent_state) in zip(params.layers, states):
+            x0_hat, feats = decoder_layer(x0_hat, bev_state, agent_state, lp)
         if t_next == 0:
             x = x0_hat
         else:

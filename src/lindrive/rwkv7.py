@@ -167,6 +167,10 @@ class RwkvBlockParams:
     def h_ff(self) -> int:
         return self.W_ffn_k.shape[1]
 
+    @property
+    def dtype(self) -> np.dtype:
+        return self.W_r.dtype
+
     def validate(self) -> None:
         if self.d % self.n_heads != 0:
             raise ConfigError(f"n_heads={self.n_heads} must divide d={self.d}")
@@ -343,7 +347,8 @@ def _normalize_removal(k_removal_heads):
 
 
 def _compute_elements(x, x_prev, params: RwkvBlockParams, layer: int, v0):
-    """Element equations for a batch of rows; x, x_prev are (T, d)."""
+    """Element equations for a batch of rows; x is (T, d), x_prev (T, d) or
+    one (d,) row shared by every token."""
     xr = lerp(x, x_prev, params.mu_r)
     xw = lerp(x, x_prev, params.mu_w)
     xk = lerp(x, x_prev, params.mu_k)
@@ -396,18 +401,26 @@ def project_elements_seq(
     return e
 
 
+def _head_operands(e: ElementSet, H: int):
+    """Per-head delta-rule operands (w, a, v, k_replace, khat), each shaped
+    (..., H, head_dim); khat is the L2-normalized removal key."""
+    khat, _ = _normalize_removal(_split_heads(e.k_removal, H))
+    return (
+        _split_heads(e.w, H),
+        _split_heads(e.a, H),
+        _split_heads(e.v, H),
+        _split_heads(e.k_replace, H),
+        khat,
+    )
+
+
 def state_step(S_prev, e: ElementSet):
     """One delta-rule update.
 
     S_new = S_prev @ (diag(w) - khat^T (a * khat)) + v^T k_replace, applied
     independently per head; khat is the L2-normalized removal key.
     """
-    H, dv, dk = S_prev.shape
-    w = _split_heads(e.w, H)
-    a = _split_heads(e.a, H)
-    v = _split_heads(e.v, H)
-    k_rep = _split_heads(e.k_replace, H)
-    khat, _ = _normalize_removal(_split_heads(e.k_removal, H))
+    w, a, v, k_rep, khat = _head_operands(e, S_prev.shape[0])
     if not (
         np.isfinite(w).all()
         and np.isfinite(a).all()
@@ -521,6 +534,26 @@ def sequential_readouts(S_in, e: ElementSet, r_heads):
     return y, S
 
 
+def branch_readouts(S, e: ElementSet, r_heads):
+    """Readouts y_i = S_i r_i^T with S_i = state_step(S, e_i), for every row
+    i of `e` as its own next token after S; S itself is not advanced.
+
+    `r_heads` is (M, n_heads, head_dim) and y is shaped like it. Expanding
+    state_step gives y_i = S (w_i * r_i) - (S khat_i)(a_i khat_i . r_i)
+    + v_i (k_replace_i . r_i), so no S_i is ever built.
+    """
+    w, a, v, k_rep, khat = _head_operands(e, S.shape[0])
+
+    def read(q):  # S q_i^T for every row: (H, V, K) @ (H, K, M) -> (M, H, V)
+        return (S @ q.transpose(1, 2, 0)).transpose(2, 0, 1)
+
+    return (
+        read(w * r_heads)
+        - read(khat) * np.sum(a * khat * r_heads, axis=-1, keepdims=True)
+        + v * np.sum(k_rep * r_heads, axis=-1, keepdims=True)
+    )
+
+
 def time_mix_output(e: ElementSet, y, params: RwkvBlockParams):
     """Per-head LayerNorm, readout bonus, gate and output projection.
 
@@ -538,18 +571,24 @@ def time_mix_output(e: ElementSet, y, params: RwkvBlockParams):
     p = yn.reshape(y.shape[0], -1) * params.ln_out_w + params.ln_out_b
     bonus = np.sum(r * (r_k * k_rep), axis=-1, keepdims=True) * v
     p = p + bonus.reshape(p.shape)
-    if not np.isfinite(p).all():
-        raise NumericError("non-finite time-mix readout")
+    bad = ~np.isfinite(p).all(axis=1)
+    if bad.any():
+        raise NumericError(f"non-finite time-mix readout in row {int(bad.argmax())}")
     return (e.g * p) @ params.W_o
+
+
+def _ffn(X, x_prev, params: RwkvBlockParams):
+    """Squared-ReLU feed-forward of the rows of X after token shift."""
+    h = lerp(X, x_prev, params.mu_ffn) @ params.W_ffn_k
+    return np.square(np.maximum(h, 0.0)) @ params.W_ffn_v
 
 
 def channel_mix(X, params: RwkvBlockParams, state: RecurrentState, layer: int = 0):
     """Squared-ReLU channel mixing of the rows of X with its own token shift
     cache."""
     x_prev = np.vstack([state.shift_cm[layer][None, :], X[:-1]])
-    h = lerp(X, x_prev, params.mu_ffn) @ params.W_ffn_k
     state.shift_cm[layer] = X[-1]
-    return np.square(np.maximum(h, 0.0)) @ params.W_ffn_v
+    return _ffn(X, x_prev, params)
 
 
 # the recurrence each block_apply mode runs; nothing else differs
@@ -576,6 +615,16 @@ def _block_tile(
     return x + channel_mix(xn2, params, state, layer), e.v0
 
 
+def _token_rows(tokens, d: int):
+    """`tokens` as a (T, d) array; an empty input becomes (0, d)."""
+    tokens = np.asarray(tokens)
+    if tokens.size == 0:
+        tokens = tokens.reshape(0, d)
+    if tokens.ndim != 2 or tokens.shape[1] != d:
+        raise ShapeError(f"tokens must be (T, {d}), got {tokens.shape}")
+    return tokens
+
+
 def block_apply(
     tokens,
     params: RwkvBlockParams,
@@ -591,17 +640,12 @@ def block_apply(
     same final state and differ only in the recurrence: sequential steps
     state_step token by token, chunked runs chunk_readouts.
     `state.tokens_seen` is left to forward_stack, which counts a stack's
-    tokens once.
+    tokens once. A NumericError names the layer and the tile's token range;
+    a row it names counts from the range's first token.
     """
     if mode not in _RECURRENCES:
         raise ConfigError(f"unknown mode {mode!r}")
-    tokens = np.asarray(tokens)
-    if tokens.size == 0:
-        tokens = tokens.reshape(0, params.d)
-    if tokens.ndim != 2 or tokens.shape[1] != params.d:
-        raise ShapeError(
-            f"tokens must be (T, {params.d}), got {tokens.shape}"
-        )
+    tokens = _token_rows(tokens, params.d)
     # outer tiles bound the working set so long sequences stay cache
     # resident; the recurrence semantics are tile-invariant because all
     # cross-token memory lives in `state`
@@ -610,10 +654,34 @@ def block_apply(
     for lo in range(0, tokens.shape[0], _CHUNK_TILE):
         hi = min(lo + _CHUNK_TILE, tokens.shape[0])
         v0_tile = None if v0_seq is None else v0_seq[lo:hi]
-        out[lo:hi], v0_out[lo:hi] = _block_tile(
-            tokens[lo:hi], params, state, layer, v0_tile, _RECURRENCES[mode]
-        )
+        try:
+            out[lo:hi], v0_out[lo:hi] = _block_tile(
+                tokens[lo:hi], params, state, layer, v0_tile, _RECURRENCES[mode]
+            )
+        except NumericError as err:
+            raise NumericError(f"layer {layer}, tokens {lo}..{hi - 1}: {err}") from err
     return out, v0_out
+
+
+def block_branch(tokens, params: RwkvBlockParams, state: RecurrentState):
+    """Run every row of `tokens` through the block (layer 0 of `state`) as
+    its own next token after `state`, leaving `state` untouched.
+
+    Row i comes out as block_forward's last output over [the tokens `state`
+    has seen; tokens[i]], so rows are independent of each other: permuting
+    them permutes the outputs. All rows run batched, with no chunk solve
+    (branch_readouts). A NumericError names the row.
+    """
+    tokens = _token_rows(tokens, params.d)
+    try:
+        xn = layer_norm(tokens, params.ln1_w, params.ln1_b)
+        e = _compute_elements(xn, state.shift_tm[0], params, 0, None)
+        y = branch_readouts(state.S[0], e, _split_heads(e.r, params.n_heads))
+        x = tokens + time_mix_output(e, y.astype(tokens.dtype, copy=False), params)
+        xn2 = layer_norm(x, params.ln2_w, params.ln2_b)
+        return x + _ffn(xn2, state.shift_cm[0], params)
+    except NumericError as err:
+        raise NumericError(f"layer 0, query branch: {err}") from err
 
 
 def block_forward(

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from lindrive import decoder as decoder_module
-from lindrive.cross_attn import QuerySet, attend
+from lindrive.cross_attn import QuerySet, attend, feature_state
 from lindrive.decoder import (
     AnchorSet,
     NoiseSchedule,
@@ -166,6 +166,14 @@ class TestCorruptAnchors:
         np.testing.assert_array_equal(a, b)
 
 
+def layer_states(bundle, agent_q, lp):
+    """The layer's BEV and agent feature states, as decode builds them."""
+    return (
+        feature_state(bundle.tokens(), lp.bev_attn.mixer),
+        feature_state(agent_q.tokens, lp.agent_attn.mixer),
+    )
+
+
 class TestDecoderLayer:
     def test_zero_delta_projection_identity(self):
         params = random_decoder_params(8, n_layers=1, seed=15)
@@ -174,7 +182,7 @@ class TestDecoderLayer:
         lp.b_delta[...] = 0.0
         noisy = np.random.default_rng(16).standard_normal((3, 8, 3))
         agent_q = QuerySet(np.random.default_rng(17).standard_normal((2, 8)))
-        refined, feats = decoder_layer(noisy, make_bundle(), agent_q, lp)
+        refined, feats = decoder_layer(noisy, *layer_states(make_bundle(), agent_q, lp), lp)
         np.testing.assert_array_equal(refined, noisy)
         assert feats.shape == (3, 8)
 
@@ -182,7 +190,8 @@ class TestDecoderLayer:
         params = random_decoder_params(8, n_layers=1, seed=18)
         noisy = np.random.default_rng(19).standard_normal((5, 8, 3))
         agent_q = QuerySet(np.random.default_rng(20).standard_normal((2, 8)))
-        refined, feats = decoder_layer(noisy, make_bundle(seed=1), agent_q, params.layers[0])
+        lp = params.layers[0]
+        refined, feats = decoder_layer(noisy, *layer_states(make_bundle(seed=1), agent_q, lp), lp)
         assert refined.shape == (5, 8, 3)
         assert feats.shape == (5, 8)
 
@@ -202,9 +211,22 @@ class TestDecoderLayer:
         x = x + np.maximum(x @ lp.W_ff1, 0.0) @ lp.W_ff2
         want = (flat + x @ lp.W_delta + lp.b_delta).reshape(2, 8, 3)
 
-        refined, feats = decoder_layer(noisy, bundle, agent_q, lp)
+        refined, feats = decoder_layer(noisy, *layer_states(bundle, agent_q, lp), lp)
         np.testing.assert_allclose(refined, want, rtol=1e-12)
         np.testing.assert_allclose(feats, x, rtol=1e-12)
+
+    def test_modes_permute(self):
+        # reversing the modes reverses the layer's outputs: every mode reads
+        # the feature states on its own
+        params = random_decoder_params(16, n_layers=1, seed=40)
+        lp = params.layers[0]
+        noisy = np.random.default_rng(41).standard_normal((8, 8, 3))
+        agent_q = QuerySet(np.random.default_rng(42).standard_normal((4, 16)))
+        states = layer_states(make_bundle(d=16, seed=5), agent_q, lp)
+        refined, feats = decoder_layer(noisy, *states, lp)
+        refined_rev, feats_rev = decoder_layer(noisy[::-1], *states, lp)
+        np.testing.assert_allclose(refined_rev, refined[::-1], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(feats_rev, feats[::-1], rtol=0, atol=1e-12)
 
 
 class TestDecode:
@@ -256,6 +278,24 @@ class TestDecode:
     def test_agent_queries_shape(self):
         assert self.agent_q.m == 8
         assert self.agent_q.d == 8
+
+    @pytest.mark.parametrize("n_layers,steps,k", [(1, 1, 3), (2, 2, 6), (3, 4, 5)])
+    def test_features_read_once_per_layer(self, monkeypatch, n_layers, steps, k):
+        # one BEV and one agent feature state per layer, whatever the steps
+        # and modes
+        params = random_decoder_params(8, n_layers=n_layers, seed=34)
+        agent_q = derive_agent_queries(self.bundle, params)
+        reads = []
+
+        def spy(features, mixer):
+            reads.append(mixer)
+            return feature_state(features, mixer)
+
+        monkeypatch.setattr(decoder_module, "feature_state", spy)
+        decode(self.anchors, self.bundle, agent_q, params, steps=steps, k_modes=k)
+        assert len(reads) == 2 * n_layers
+        want = [m for lp in params.layers for m in (lp.bev_attn.mixer, lp.agent_attn.mixer)]
+        assert all(a is b for a, b in zip(reads, want))
 
 
 class TestDecoderParams:

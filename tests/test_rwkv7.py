@@ -12,6 +12,7 @@ from lindrive.rwkv7 import (
     ElementSet,
     RecurrentState,
     block_apply,
+    block_branch,
     block_forward,
     channel_mix,
     chunk_readouts,
@@ -22,6 +23,7 @@ from lindrive.rwkv7 import (
     loramlp,
     project_elements_seq,
     random_block_params,
+    branch_readouts,
     sequential_readouts,
     state_step,
     time_mix_output,
@@ -550,6 +552,64 @@ class TestBlockForward:
         out_b = forward_stack(tokens, blocks, sb, mode="chunked")
         np.testing.assert_allclose(out_b, out_a, atol=1e-10)
         np.testing.assert_allclose(sb.S, sa.S, atol=1e-10)
+
+
+class TestBlockBranch:
+    """Each row runs as its own next token after the state; the state stays."""
+
+    def prefix_state(self, p, seed):
+        state = RecurrentState.zeros(8, p.n_heads)
+        prefix = np.random.default_rng(seed).standard_normal((7, 8))
+        block_forward(prefix, p, state, mode="chunked")
+        return prefix, state
+
+    def test_matches_last_token_oracle(self):
+        p = random_block_params(8, n_heads=2, seed=70)
+        prefix, state = self.prefix_state(p, seed=72)
+        rows = np.random.default_rng(73).standard_normal((5, 8))
+        x = block_branch(rows, p, state)
+        for i in range(5):
+            fresh = RecurrentState.zeros(8, 2)
+            want, _ = block_forward(np.vstack([prefix, rows[i]]), p, fresh, "chunked")
+            np.testing.assert_allclose(x[i], want[-1], rtol=0, atol=1e-10)
+
+    def test_state_untouched(self):
+        p = random_block_params(8, seed=74)
+        _, state = self.prefix_state(p, seed=75)
+        before = state.copy()
+        block_branch(np.random.default_rng(76).standard_normal((4, 8)), p, state)
+        for field in ("S", "shift_tm", "shift_cm"):
+            np.testing.assert_array_equal(getattr(state, field), getattr(before, field))
+        assert state.tokens_seen == before.tokens_seen
+
+    def test_readouts_match_state_step(self):
+        e = make_elements(5, 8, 2, seed=81)
+        S = np.random.default_rng(82).standard_normal((2, 4, 4))
+        r_heads = e.r.reshape(5, 2, 4)
+        y = branch_readouts(S, e, r_heads)
+        for i in range(5):
+            step = ElementSet(**{f: getattr(e, f)[i] for f in e.__dataclass_fields__})
+            S_i = state_step(S, step)
+            np.testing.assert_allclose(y[i], np.einsum("hvk,hk->hv", S_i, r_heads[i]), atol=1e-12)
+
+
+class TestNumericErrorContext:
+    @pytest.mark.parametrize("mode", ["sequential", "chunked"])
+    def test_names_layer_and_tile(self, mode):
+        # a NaN at token 550 fires in the second 512-token tile of layer 0
+        blocks = [random_block_params(8, seed=84 + i) for i in range(2)]
+        tokens = np.random.default_rng(86).standard_normal((600, 8))
+        tokens[550, 3] = np.nan
+        state = RecurrentState.zeros(8, 1, n_layers=2)
+        with pytest.raises(NumericError, match=r"^layer 0, tokens 512\.\.599: non-finite"):
+            forward_stack(tokens, blocks, state, mode=mode)
+
+    def test_names_deeper_layer(self):
+        blocks = [random_block_params(8, seed=87 + i) for i in range(2)]
+        blocks[1].W_v[2, 5] = np.nan
+        state = RecurrentState.zeros(8, 1, n_layers=2)
+        with pytest.raises(NumericError, match=r"^layer 1, tokens 0\.\.9: "):
+            forward_stack(np.random.default_rng(89).standard_normal((10, 8)), blocks, state, "chunked")
 
 
 def tile_crossing_case():
