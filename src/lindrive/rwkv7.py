@@ -21,6 +21,7 @@ as rows and key channels as columns, i.e. a fresh write is the outer product
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,9 +37,10 @@ KAPPA_EPS = 1e-12
 DECAY_GAIN = float(np.exp(-0.5))
 W_LOWER_BOUND = float(np.exp(-DECAY_GAIN))
 
-# default sub-chunk length of the parallel path; small enough that the
-# intra-chunk decay products stay well above float32 underflow of accuracy
-DEFAULT_CHUNK = 16
+# longest sub-chunk of chunk_readouts, which divides by a sub-chunk's
+# cumulative decay: that stays above W_LOWER_BOUND ** DEFAULT_CHUNK ~ 3.7e-9,
+# so its reciprocal (<= 2.7e8) is far from float32 overflow (~145 steps)
+DEFAULT_CHUNK = 32
 
 
 def sigmoid(x):
@@ -435,21 +437,15 @@ def state_step(S_prev, e: ElementSet):
     return decayed - removed + written
 
 
-def decay_matrix(w_rows):
-    """Causal decay tensor: delta[i, j] = prod_{m=j..i} w_m componentwise for
-    j <= i, zero above the diagonal. Shape (B, B, d)."""
-    w_rows = np.asarray(w_rows)
-    if w_rows.ndim != 2:
-        raise ShapeError("decay_matrix expects (B, d) stacked decay rows")
-    B, d = w_rows.shape
-    if B < 1:
-        raise ShapeError("decay_matrix needs at least one row")
-    delta = np.zeros((B, B, d), dtype=w_rows.dtype)
-    delta[0, 0] = w_rows[0]
-    for i in range(1, B):
-        delta[i, :i] = delta[i - 1, :i] * w_rows[i]
-        delta[i, i] = w_rows[i]
-    return delta
+@functools.lru_cache(maxsize=DEFAULT_CHUNK)
+def _score_mask(B: int):
+    """Causal part of a B-token sub-chunk's stacked scores [khat; r] x
+    [brow; k_replace]: the solve couplings (top rows) strictly below the
+    diagonal, the readout scores (bottom rows) on and below it."""
+    strict, lower = np.tri(B, k=-1, dtype=bool), np.tri(B, dtype=bool)
+    mask = np.block([[strict, strict], [lower, lower]])
+    mask.flags.writeable = False
+    return mask
 
 
 def chunk_readouts(S_in, e: ElementSet, r_heads, max_chunk: int = DEFAULT_CHUNK):
@@ -457,69 +453,56 @@ def chunk_readouts(S_in, e: ElementSet, r_heads, max_chunk: int = DEFAULT_CHUNK)
     `e` and the final state, equal to repeated state_step.
 
     `r_heads` is (T, n_heads, head_dim); returns (y, S_out) with y shaped like
-    `r_heads`. Tokens run in sub-chunks of max_chunk steps, carrying the state
-    across. Inside a sub-chunk this is the UT/WY form of the chunked delta
-    rule (Yang et al., arXiv 2406.06484): every cross-step coupling is a
-    product of decay components (each <= 1), so no reciprocal of a deep
-    cumulative decay ever appears, and a single unit-lower-triangular solve
-    per head recovers the per-step readouts m_t = S_{t-1} khat_t^T. The
-    intermediate states enter the outputs only through attention-style score
-    matrices between the receptance rows and the (decayed) write rows, which
-    is a factor head_dim cheaper than building every state.
+    `r_heads`. Tokens run in sub-chunks of max_chunk <= DEFAULT_CHUNK steps,
+    carrying the state across. Inside a sub-chunk this is the UT/WY form of
+    the chunked delta rule (Yang et al., arXiv 2406.06484) with the decay
+    made separable as in Gated Linear Attention (arXiv 2312.06635): with
+    F2_t = w_0 ... w_t and F1_t = F2_{t-1}, a step-s write reaches step t's
+    readout decayed by F1_t / F2_s (before step t's update) or F2_t / F2_s
+    (after it). So the solve couplings L and G and both readout score
+    matrices come from one masked matmul per head, [khat F1; r F2] times
+    [brow / F2; k_replace / F2]^T, and one unit-lower-triangular solve yields
+    the per-step readouts m_t = S_{t-1} khat_t^T; no per-step state is built.
+    Every w exceeds W_LOWER_BOUND, so 1/F2 < W_LOWER_BOUND ** -DEFAULT_CHUNK
+    (about 2.7e8): no float32 overflow, and each ratio's rounding is relative.
     """
-    H = S_in.shape[0]
+    if not 1 <= max_chunk <= DEFAULT_CHUNK:
+        raise ConfigError(f"max_chunk must lie in [1, {DEFAULT_CHUNK}], got {max_chunk}")
+    H, _, K = S_in.shape
     T = e.w.shape[0]
+    w = _split_heads(e.w, H)
+    k_removal = _split_heads(e.k_removal, H)
+    khat, norm = _normalize_removal(k_removal)
+    # removal row of the transition: transition_t = diag(w_t) + khat_t^T brow_t
+    brow = -(_split_heads(e.a, H) / norm) * k_removal
+    # (H, 2, T, K) operands; r_t F2_t = (r_t w_t) F1_t, so both query rows
+    # scale by F1
+    queries = np.stack([khat, r_heads * w]).transpose(2, 0, 1, 3)
+    keys = np.stack([brow, _split_heads(e.k_replace, H)]).transpose(2, 0, 1, 3)
+    v = _split_heads(e.v, H).transpose(1, 0, 2)
+    w = w.transpose(1, 0, 2)
     y = np.empty_like(r_heads)
     S = S_in
     for lo in range(0, T, max_chunk):
         hi = min(lo + max_chunk, T)
         B = hi - lo
-        r = r_heads[lo:hi]
-        k_removal = _split_heads(e.k_removal[lo:hi], H)
-        khat, norm = _normalize_removal(k_removal)  # (B,H,K)
-        u = _split_heads(e.a[lo:hi], H) / norm
-        # removal row of the transition: transition_t = diag(w_t) + khat_t^T brow_t
-        brow = -u * k_removal
-        v = _split_heads(e.v[lo:hi], H)
-        k_rep = _split_heads(e.k_replace[lo:hi], H)
-        delta = decay_matrix(e.w[lo:hi]).reshape(B, B, H, khat.shape[-1])
-
-        # E2[t, s] is the decay a step-s write experiences by the end of step
-        # t, F2[t] the decay of the incoming state
-        E2 = np.zeros_like(delta)
-        idx = np.arange(B)
-        E2[idx, idx] = 1.0
-        if B > 1:
-            il, jl = np.tril_indices(B, k=-1)
-            E2[il, jl] = delta[il, jl + 1]
-        # shifted variants: couplings into the readout at step t see decays
-        # only up to step t-1
-        E1 = np.zeros_like(E2)
-        E1[1:] = E2[:-1]
-        F2 = delta[:, 0]  # (B, H, K): prod of w over 0..t
-        F1 = np.empty_like(F2)
-        F1[0] = 1.0
-        F1[1:] = F2[:-1]
-
-        # readout of the incoming state at each step, pre-solve
-        h_rows = np.einsum("hvk,bhk->hbv", S, F1 * khat)
-        # couplings between the step-s transition/write and the step-t readout
-        L = np.einsum("shk,thk,tshk->hts", brow, khat, E1)
-        G = np.einsum("shk,thk,tshk->hts", k_rep, khat, E1)
-        rhs = h_rows + np.einsum("hts,shv->htv", G, v)
-        eye = np.eye(B, dtype=S.dtype)
-        m = np.linalg.solve(eye - L, rhs)  # (H, B, V)
-
-        y_sub = np.einsum("hvk,thk->thv", S, F2 * r)
-        scores_rm = np.einsum("shk,thk,tshk->hts", brow, r, E2)
-        scores_wr = np.einsum("shk,thk,tshk->hts", k_rep, r, E2)
-        y_sub += np.einsum("hts,hsv->thv", scores_rm, m)
-        y_sub += np.einsum("hts,shv->thv", scores_wr, v)
-        y[lo:hi] = y_sub
-        decay_end = E2[-1]  # (B, H, K)
-        S = S * F2[-1][:, None, :]
-        S += np.einsum("hsv,shk->hvk", m, brow * decay_end)
-        S += np.einsum("shv,shk->hvk", v, k_rep * decay_end)
+        # F[:, t] is the product of w over the steps before t: F1 = F[:, :-1],
+        # F2 = F[:, 1:]
+        F = np.ones((H, B + 1, K), dtype=w.dtype)
+        np.cumprod(w[:, lo:hi], axis=1, out=F[:, 1:])
+        q = (queries[:, :, lo:hi] * F[:, None, :-1]).reshape(H, 2 * B, K)
+        c = (keys[:, :, lo:hi] / F[:, None, 1:]).reshape(H, 2 * B, K)
+        scores = q @ c.transpose(0, 2, 1)
+        scores *= _score_mask(B)
+        # readouts of the incoming state: pre-solve rows, then the outputs'
+        qS = q @ S.transpose(0, 2, 1)
+        v_sub = v[:, lo:hi]
+        rhs = qS[:, :B] + scores[:, :B, B:] @ v_sub
+        m = np.linalg.solve(np.eye(B, dtype=bool) - scores[:, :B, :B], rhs)
+        mv = np.concatenate([m, v_sub], axis=1)
+        y[lo:hi] = (qS[:, B:] + scores[:, B:] @ mv).transpose(1, 0, 2)
+        decay = F[:, -1:]
+        S = S * decay + mv.transpose(0, 2, 1) @ (c * decay)
     return y, S
 
 
@@ -604,10 +587,17 @@ def _block_tile(
     layer: int,
     v0_seq,
     recur,
+    first: int,
 ):
-    """One tile of a block: project, recur, read out, mix."""
+    """One tile of a block: project, recur, read out, mix. A non-finite
+    element is named by its token, `first` being the tile's first."""
     xn = layer_norm(tokens, params.ln1_w, params.ln1_b)
     e = project_elements_seq(xn, params, state, layer, v0_seq)
+    finite = np.isfinite(
+        np.concatenate([e.r, e.w, e.k_removal, e.k_replace, e.v, e.a], axis=1)
+    ).all(axis=1)
+    if not finite.all():
+        raise NumericError(f"non-finite element in token {first + int(finite.argmin())}")
     y, state.S[layer] = recur(state.S[layer], e, _split_heads(e.r, params.n_heads))
     # the readout is finished in the token dtype
     x = tokens + time_mix_output(e, y.astype(tokens.dtype, copy=False), params)
@@ -640,8 +630,8 @@ def block_apply(
     same final state and differ only in the recurrence: sequential steps
     state_step token by token, chunked runs chunk_readouts.
     `state.tokens_seen` is left to forward_stack, which counts a stack's
-    tokens once. A NumericError names the layer and the tile's token range;
-    a row it names counts from the range's first token.
+    tokens once. A NumericError names the layer, the tile's token range and
+    a non-finite element's token, counting from 0 in `tokens`.
     """
     if mode not in _RECURRENCES:
         raise ConfigError(f"unknown mode {mode!r}")
@@ -656,7 +646,7 @@ def block_apply(
         v0_tile = None if v0_seq is None else v0_seq[lo:hi]
         try:
             out[lo:hi], v0_out[lo:hi] = _block_tile(
-                tokens[lo:hi], params, state, layer, v0_tile, _RECURRENCES[mode]
+                tokens[lo:hi], params, state, layer, v0_tile, _RECURRENCES[mode], lo
             )
         except NumericError as err:
             raise NumericError(f"layer {layer}, tokens {lo}..{hi - 1}: {err}") from err

@@ -185,7 +185,9 @@ class TestCrossAttend:
         q_enc = make_queries(5, 8, seed=41)
         bad_features = features.copy()
         bad_features[4, 1] = np.nan
-        with pytest.raises(NumericError, match=r"^layer 0, tokens 0\.\.5: non-finite"):
+        with pytest.raises(
+            NumericError, match=r"^layer 0, tokens 0\.\.5: non-finite element in token 4$"
+        ):
             cross_attend(bad_features, q_enc, p)
         bad_q = QuerySet(q_enc.tokens.copy())
         bad_q.tokens[3, 0] = np.nan

@@ -16,7 +16,6 @@ from lindrive.rwkv7 import (
     block_forward,
     channel_mix,
     chunk_readouts,
-    decay_matrix,
     forward_stack,
     layer_norm,
     lerp,
@@ -329,26 +328,6 @@ class TestStateStep:
             state_step(np.zeros((1, 4, 4)), step)
 
 
-class TestDecayMatrix:
-    def test_all_ones(self):
-        delta = decay_matrix(np.ones((3, 2)))
-        want = np.tril(np.ones((3, 3)))[:, :, None] * np.ones(2)
-        np.testing.assert_array_equal(delta, want)
-
-    def test_d1_handcase(self):
-        delta = decay_matrix(np.array([[0.5], [0.5]]))
-        np.testing.assert_allclose(
-            delta[:, :, 0], [[0.5, 0.0], [0.25, 0.5]], rtol=1e-15
-        )
-
-    def test_diagonal_equals_w(self):
-        rng = np.random.default_rng(10)
-        w = rng.uniform(0.55, 0.99, (6, 4))
-        delta = decay_matrix(w)
-        for i in range(6):
-            np.testing.assert_array_equal(delta[i, i], w[i])
-
-
 class TestChunkForward:
     def test_single_step_chunk(self):
         e = make_elements(1, 8, n_heads=2, seed=12)
@@ -380,15 +359,41 @@ class TestChunkForward:
         np.testing.assert_array_equal(S_out, want_final)
 
     def test_split_invariance(self):
-        # 16 tokens processed as one chunk, 8+8, or 4x4 give the same
+        # 32 tokens processed as one chunk, 16+16, 4x8 or 8x4 give the same
         # readouts and end in the same state
-        e = make_elements(16, 8, seed=15)
+        e = make_elements(32, 8, seed=15)
         S_in = np.zeros((1, 8, 8))
-        r = e.r.reshape(16, 1, 8)
-        runs = [chunk_readouts(S_in, e, r, max_chunk=size) for size in (16, 8, 4)]
+        r = e.r.reshape(32, 1, 8)
+        runs = [chunk_readouts(S_in, e, r, max_chunk=size) for size in (32, 16, 8, 4)]
         for y, S in runs[1:]:
             np.testing.assert_allclose(y, runs[0][0], atol=1e-10)
             np.testing.assert_allclose(S, runs[0][1], atol=1e-10)
+
+    @pytest.mark.parametrize("max_chunk", [0, rwkv7.DEFAULT_CHUNK + 1])
+    def test_max_chunk_out_of_range_raises(self, max_chunk):
+        # longer sub-chunks would leave the bound on the reciprocal decay
+        e = make_elements(40, 8, seed=17)
+        with pytest.raises(ConfigError, match="max_chunk"):
+            chunk_readouts(np.zeros((1, 8, 8)), e, e.r.reshape(40, 1, 8), max_chunk)
+
+    @pytest.mark.parametrize("d,n_heads", [(64, 1), (16, 4)])
+    def test_decay_floor_single_precision(self, d, n_heads):
+        # every w at its lower bound over one full sub-chunk: the kernel's
+        # deepest reciprocal decay; float32 in gives float32 out
+        B, hd = rwkv7.DEFAULT_CHUNK, d // n_heads
+        e = make_elements(B, d, n_heads, seed=18, dtype=np.float32)
+        e.w[...] = rwkv7.W_LOWER_BOUND * (1 + 1e-7)
+        rng = np.random.default_rng(19)
+        S_in = rng.standard_normal((n_heads, hd, hd)).astype(np.float32)
+        r = e.r.reshape(B, n_heads, hd)
+        y, S = chunk_readouts(S_in, e, r)
+        assert y.dtype == S.dtype == np.float32
+        e64 = ElementSet(**{f: x.astype(np.float64) for f, x in vars(e).items()})
+        want_y, want_S = sequential_readouts(
+            S_in.astype(np.float64), e64, r.astype(np.float64)
+        )
+        assert np.max(np.abs(y - want_y)) <= 1e-5 * np.max(np.abs(want_y))
+        assert np.max(np.abs(S - want_S)) <= 1e-5 * np.max(np.abs(want_S))
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +606,10 @@ class TestNumericErrorContext:
         tokens = np.random.default_rng(86).standard_normal((600, 8))
         tokens[550, 3] = np.nan
         state = RecurrentState.zeros(8, 1, n_layers=2)
-        with pytest.raises(NumericError, match=r"^layer 0, tokens 512\.\.599: non-finite"):
+        with pytest.raises(
+            NumericError,
+            match=r"^layer 0, tokens 512\.\.599: non-finite element in token 550$",
+        ):
             forward_stack(tokens, blocks, state, mode=mode)
 
     def test_names_deeper_layer(self):
