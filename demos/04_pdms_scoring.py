@@ -9,7 +9,7 @@ weighted part trades off progress, time-to-collision margin and comfort.
 import numpy as np
 
 from lindrive.decoder import Trajectory
-from lindrive.pdms import AgentState, SceneEval, eval_subscores, pdms
+from lindrive.pdms import AgentState, SceneEval, score_batch
 
 
 def straight(speed, lateral=0.0):
@@ -46,9 +46,8 @@ def main():
     header = f"{'candidate':<32} {'nc':>3} {'dac':>4} {'ttc':>4} {'comf':>5} {'ep':>6} {'pdms':>7}"
     print(header)
     print("-" * len(header))
-    for name, traj in candidates.items():
-        subs = eval_subscores(traj, scene)
-        score = pdms(subs)
+    scores = score_batch(candidates.values(), scene)
+    for name, (subs, score) in zip(candidates, scores):
         print(f"{name:<32} {subs.nc:>3} {subs.dac:>4} {subs.ttc:>4} "
               f"{subs.comfort:>5} {subs.ep:>6.3f} {score:>7.4f}")
 

@@ -174,50 +174,6 @@ def build_frame_sequence(frames: list[FrameTokens], pos_emb: np.ndarray) -> np.n
     return np.vstack(rows)
 
 
-def pad_history(
-    frames: list[FrameTokens],
-    required: int,
-    *,
-    l_camera: int = 16,
-    l_lidar: int = 16,
-    d: int = 64,
-    dtype=np.float64,
-) -> list[FrameTokens]:
-    """Prepend all-zero frames until the history has `required` frames.
-
-    The keyword layout is only consulted when `frames` is empty; otherwise
-    the padding copies the shape of the first real frame.
-    """
-    if len(frames) > required:
-        raise ContractError(
-            f"history of {len(frames)} frames exceeds required {required}; "
-            "truncate explicitly"
-        )
-    if len(frames) == required:
-        return list(frames)
-    if frames:
-        l_camera, l_lidar, d = (
-            frames[0].camera.shape[0],
-            frames[0].lidar.shape[0],
-            frames[0].d,
-        )
-        dtype = frames[0].camera.dtype
-        first_t = frames[0].t
-    else:
-        first_t = required
-    n_pad = required - len(frames)
-    out = [
-        FrameTokens(
-            camera=np.zeros((l_camera, d), dtype=dtype),
-            lidar=np.zeros((l_lidar, d), dtype=dtype),
-            t=first_t - n_pad + i,
-        )
-        for i in range(n_pad)
-    ]
-    out.extend(frames)
-    return out
-
-
 def fuse_parallel(
     seq: np.ndarray,
     params: FusionParams,
@@ -252,16 +208,6 @@ def fuse_step(
     return fused, state
 
 
-def split_fused(fused: np.ndarray, l_camera: int, l_lidar: int):
-    """Split fused frames back into camera and lidar streams, shaped
-    (frames, l_camera, d) and (frames, l_lidar, d)."""
-    per = l_camera + l_lidar
-    if fused.shape[0] % per != 0:
-        raise ShapeError("fused length is not a multiple of the frame layout")
-    frames = fused.reshape(-1, per, fused.shape[1])
-    return frames[:, :l_camera], frames[:, l_camera:]
-
-
 @dataclass
 class BevProjParams:
     """Local spatial mixing over the lidar grid plus the ego embedding."""
@@ -288,22 +234,6 @@ def random_bev_params(
         ego_W=(rng.standard_normal((n_ego, d)) * 0.5).astype(dtype),
         ego_b=(rng.standard_normal(d) * 0.1).astype(dtype),
         pos_emb=(rng.standard_normal((lb + 1, d)) * 0.1).astype(dtype),
-        grid=grid,
-    )
-
-
-def identity_bev_params(d: int, grid: tuple[int, int], dtype=np.float64) -> BevProjParams:
-    """Pass-through spatial mixing; useful as a reference point."""
-    kernel = np.zeros((3, 3), dtype=dtype)
-    kernel[1, 1] = 1.0
-    lb = grid[0] * grid[1]
-    return BevProjParams(
-        kernel=kernel,
-        W=np.eye(d, dtype=dtype),
-        b=np.zeros(d, dtype=dtype),
-        ego_W=np.zeros((2 + len(Command), d), dtype=dtype),
-        ego_b=np.zeros(d, dtype=dtype),
-        pos_emb=np.zeros((lb + 1, d), dtype=dtype),
         grid=grid,
     )
 

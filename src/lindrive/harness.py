@@ -300,9 +300,3 @@ def write_bench_csv(path, records: list[BenchRecord]) -> None:
                 [r.frames, r.mode, f"{r.latency_ms:.6f}", r.state_bytes, f"{r.wall_ms:.6f}"]
             )
 
-
-def stream_output_digest(T: int, mode: str, cfg: BenchConfig | None = None) -> float:
-    """Deterministic checksum of a benchmark workload's computed output."""
-    cfg = cfg or BenchConfig()
-    _, _, out = _STREAMS[mode](T, cfg)
-    return float(np.sum(np.abs(np.asarray(out, dtype=np.float64))))

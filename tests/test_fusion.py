@@ -1,4 +1,4 @@
-"""Multi-frame fusion: sequence building, padding, train/infer equivalence,
+"""Multi-frame fusion: sequence building, train/infer equivalence,
 constant-memory streaming, BEV assembly, and feature state dropout."""
 
 import numpy as np
@@ -18,12 +18,9 @@ from lindrive.fusion import (
     feature_state_dropout,
     fuse_parallel,
     fuse_step,
-    identity_bev_params,
-    pad_history,
     random_bev_params,
     random_fusion_params,
     read_frames_jsonl,
-    split_fused,
     write_frames_jsonl,
 )
 from lindrive.harness import gen_synthetic_frames
@@ -73,31 +70,6 @@ class TestFrameSequence:
         frames[2].t = frames[1].t
         with pytest.raises(ContractError):
             build_frame_sequence(frames, np.zeros((8, 8)))
-
-
-class TestPadHistory:
-    def test_exact_length_unchanged(self):
-        frames = frames_fixture(10)
-        assert pad_history(frames, 10) == frames
-
-    def test_prepends_zero_frames(self):
-        frames = frames_fixture(3)
-        padded = pad_history(frames, 10)
-        assert len(padded) == 10
-        for f in padded[:7]:
-            assert not f.camera.any() and not f.lidar.any()
-        assert padded[7:] == frames
-        ts = [f.t for f in padded]
-        assert all(b > a for a, b in zip(ts, ts[1:]))
-
-    def test_all_padding(self):
-        padded = pad_history([], 2, l_camera=4, l_lidar=4, d=8)
-        assert len(padded) == 2
-        assert all(not f.camera.any() for f in padded)
-
-    def test_too_long_history_rejected(self):
-        with pytest.raises(ContractError):
-            pad_history(frames_fixture(5), 3)
 
 
 class TestFusionModes:
@@ -182,17 +154,17 @@ class TestFusionModes:
         with pytest.raises(DataError):
             fuse_parallel(seq, params)
 
-    def test_split_fused_layout(self):
-        fused = np.arange(32.0).reshape(16, 2)
-        cams, lids = split_fused(fused, 4, 4)
-        assert len(cams) == len(lids) == 2
-        np.testing.assert_array_equal(cams[0], fused[:4])
-        np.testing.assert_array_equal(lids[1], fused[12:])
-
 
 class TestBevAssembly:
     def test_identity_passthrough(self):
-        proj = identity_bev_params(8, (2, 2))
+        # centre-tap kernel, identity projection, zero embeddings
+        proj = random_bev_params(8, (2, 2), seed=11)
+        proj.kernel = np.zeros((3, 3))
+        proj.kernel[1, 1] = 1.0
+        proj.W, proj.b = np.eye(8), np.zeros(8)
+        proj.ego_W = np.zeros_like(proj.ego_W)
+        proj.ego_b = np.zeros(8)
+        proj.pos_emb = np.zeros_like(proj.pos_emb)
         lidar = np.random.default_rng(12).standard_normal((4, 8))
         ego = EgoStatus(velocity=0.0, acceleration=0.0)
         bundle = assemble_bev(lidar, ego, proj)

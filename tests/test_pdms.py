@@ -6,9 +6,10 @@ import math
 import numpy as np
 import pytest
 
+import pdms_reference as ref
 from lindrive.decoder import Trajectory
-from lindrive.errors import DataError
-from lindrive.harness import gen_synthetic_scene
+from lindrive.errors import ConfigError, DataError, ShapeError
+from lindrive.harness import gen_synthetic_scene, gen_trajectory_dataset
 from lindrive.pdms import (
     AgentState,
     PdmsWeights,
@@ -24,6 +25,9 @@ from lindrive.pdms import (
     pdms,
     point_in_polygon,
     save_scene,
+    scene_from_json,
+    scene_to_json,
+    score_batch,
     score_trajectory,
     write_report,
 )
@@ -146,7 +150,7 @@ class TestGeometry:
 
 class TestTtc:
     def test_no_agents_infinite(self):
-        assert first_overlap_time(straight_trajectory(), []) == math.inf
+        assert first_overlap_time([straight_trajectory()], [])[0] == math.inf
 
     def test_head_on_closed_form(self):
         # closing at 10 m/s from 20 m -> first overlap at 2.0 s; near-point
@@ -158,8 +162,8 @@ class TestTtc:
             half_extents=np.array([0.05, 0.05]),
         )
         got = first_overlap_time(
-            ego, [agent], ego_half_extents=(0.0, 0.0), grid_dt=0.005
-        )
+            [ego], [agent], ego_half_extents=(0.0, 0.0), grid_dt=0.005
+        )[0]
         assert abs(got - 2.0) <= 0.01
 
     def test_already_overlapping_zero(self):
@@ -169,7 +173,7 @@ class TestTtc:
             velocity=np.array([0.0, 0.0]),
             half_extents=np.array([1.0, 1.0]),
         )
-        assert first_overlap_time(ego, [agent]) == 0.0
+        assert first_overlap_time([ego], [agent])[0] == 0.0
 
 
 class TestSubScores:
@@ -202,22 +206,22 @@ class TestSubScores:
         assert subs.nc == 0
         want = oracle_first_overlap(traj, scene.agents, cfg.ego_half_extents)
         assert math.isfinite(want)
-        got = first_overlap_time(traj, scene.agents, cfg.ego_half_extents, cfg.grid_dt)
+        got = first_overlap_time([traj], scene.agents, cfg.ego_half_extents, cfg.grid_dt)[0]
         assert abs(got - want) <= cfg.grid_dt
 
     def test_comfort_thresholds(self):
         smooth = straight_trajectory(speed=5.0)
-        assert comfort_ok(smooth, a_max=2.4, j_max=8.0)
+        assert comfort_ok([smooth], a_max=2.4, j_max=8.0)[0]
         jerky = smooth.waypoints.copy()
         jerky[4, 0] += 3.0
-        assert not comfort_ok(Trajectory(jerky), a_max=2.4, j_max=8.0)
+        assert not comfort_ok([Trajectory(jerky)], a_max=2.4, j_max=8.0)[0]
 
     def test_comfort_translation_invariant(self):
         rng = np.random.default_rng(1)
         wps = np.cumsum(rng.uniform(0.5, 2.0, (8, 3)), axis=0)
         base = Trajectory(wps)
         shifted = Trajectory(wps + np.array([100.0, -40.0, 0.0]))
-        assert comfort_ok(base, 2.4, 8.0) == comfort_ok(shifted, 2.4, 8.0)
+        assert comfort_ok([base], 2.4, 8.0)[0] == comfort_ok([shifted], 2.4, 8.0)[0]
 
     def test_degenerate_centerline_rejected(self):
         with pytest.raises(DataError):
@@ -231,7 +235,7 @@ class TestSubScores:
     def test_progress_measured_along_centerline(self):
         scene = empty_scene()
         traj = straight_trajectory(speed=2.0)  # 8 m
-        assert abs(arc_progress(traj, scene.centerline) - 8.0) < 1e-9
+        assert abs(arc_progress([traj], scene.centerline)[0] - 8.0) < 1e-9
 
 
 class TestPdmsFormula:
@@ -309,3 +313,157 @@ class TestSceneFiles:
         assert lines[0].startswith("#")
         assert lines[1] == "scene,trajectory,nc,dac,ttc,comfort,ep,pdms"
         assert 0.0 <= score <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# the broadcast scorer against the per-trajectory loop reference
+# ---------------------------------------------------------------------------
+
+
+def rotated(wps, angle):
+    """Waypoints turned about the start pose; headings wrap in Trajectory."""
+    c, s = math.cos(angle), math.sin(angle)
+    out = wps.copy()
+    out[:, 0] = c * wps[:, 0] - s * wps[:, 1]
+    out[:, 1] = s * wps[:, 0] + c * wps[:, 1]
+    out[:, 2] = wps[:, 2] + angle
+    return out
+
+
+def reference_case(seed, n_agents):
+    """16 anchors and one scene whose agents sit on or near their paths.
+
+    Half the anchors point backwards, so their headings cross +-pi; a few
+    carry a kink that fails comfort. The centerline repeats a point (a
+    zero-length segment) and the drivable area is small enough that some
+    anchors leave it.
+    """
+    rng = np.random.default_rng(seed)
+    wps = gen_trajectory_dataset(16, int(rng.integers(2**31)))
+    for i in range(8, 16):
+        wps[i] = rotated(wps[i], math.pi + rng.uniform(-0.6, 0.6))
+    for i in rng.choice(16, size=3, replace=False):
+        wps[i, 4, :2] += rng.normal(0.0, 1.5, 2)
+    trajs = [Trajectory(w) for w in wps]
+    agents = []
+    for _ in range(n_agents):
+        path = wps[rng.integers(16)]
+        x, y = path[rng.integers(path.shape[0]), :2] + rng.normal(0.0, 3.0, 2)
+        agents.append(
+            AgentState(
+                pose=np.array([x, y, rng.uniform(-math.pi, math.pi)]),
+                velocity=rng.uniform(-3.0, 3.0, 2),
+                half_extents=rng.uniform([1.0, 0.5], [2.6, 1.2]),
+            )
+        )
+    half = rng.uniform(15.0, 45.0)
+    knots = np.cumsum(rng.uniform(2.0, 8.0, (12, 2)) * rng.choice([-1.0, 1.0], 2), axis=0)
+    centerline = np.concatenate([[[-10.0, 0.0]], knots[:5], knots[4:]])
+    scene = SceneEval(
+        agents=agents,
+        drivable=np.array([[-half, -half], [half, -half], [half, half], [-half, half]]),
+        centerline=centerline,
+        reference_progress=float(rng.uniform(10.0, 40.0)),
+    )
+    return trajs, scene
+
+
+class TestBroadcastScorer:
+    def test_matches_loop_reference(self):
+        cfg = ScoreConfig()
+        pairs = 0
+        seen = set()
+        for seed in range(64):
+            trajs, scene = reference_case(seed, n_agents=seed % 9)
+            assert np.any(np.linalg.norm(np.diff(scene.centerline, axis=0), axis=1) == 0.0)
+            got = [s for s, _ in score_batch(trajs, scene, cfg)]
+            got.append(score_batch(trajs[seed % 16 : seed % 16 + 1], scene, cfg)[0][0])
+            for subs, traj in zip(got, trajs + [trajs[seed % 16]]):
+                want = ref.eval_subscores(traj, scene, cfg)
+                key = (subs.nc, subs.ttc, subs.dac, subs.comfort)
+                assert key == (want.nc, want.ttc, want.dac, want.comfort), f"seed {seed}"
+                assert abs(subs.ep - want.ep) <= 1e-12, f"seed {seed}"
+                seen.add(key)
+                pairs += 1
+        assert pairs >= 1000
+        # every sub-score takes both values somewhere in the sweep
+        for i in range(4):
+            assert {k[i] for k in seen} == {0, 1}
+
+    def test_first_overlap_and_progress_match_reference(self):
+        cfg = ScoreConfig()
+        for seed in range(4):
+            trajs, scene = reference_case(100 + seed, n_agents=8)
+            hits = first_overlap_time(trajs, scene.agents, cfg.ego_half_extents, cfg.grid_dt)
+            want = [
+                ref.first_overlap_time(t, scene.agents, cfg.ego_half_extents, cfg.grid_dt)
+                for t in trajs
+            ]
+            np.testing.assert_array_equal(hits, want)
+            progress = arc_progress(trajs, scene.centerline)
+            want = [ref.arc_progress(t, scene.centerline) for t in trajs]
+            np.testing.assert_allclose(progress, want, rtol=0.0, atol=1e-12)
+
+    def test_batch_equals_single_calls(self):
+        for seed in range(6):
+            trajs, scene = reference_case(200 + seed, n_agents=2 * seed)
+            assert score_batch(trajs, scene) == [score_trajectory(t, scene) for t in trajs]
+
+    def test_mixed_batch_rejected(self):
+        _, scene = reference_case(300, n_agents=2)
+        short = straight_trajectory(n=6)
+        with pytest.raises(ShapeError):
+            score_batch([straight_trajectory(), short], scene)
+        with pytest.raises(ShapeError):
+            score_batch([straight_trajectory(), straight_trajectory(dt=0.25)], scene)
+
+    @pytest.mark.parametrize("dt", [0.0, -0.5, math.nan])
+    def test_bad_timestep_rejected(self, dt):
+        # an empty or one-point time grid would score a colliding plan NC=1
+        _, scene = reference_case(301, n_agents=2)
+        with pytest.raises(DataError):
+            score_batch([straight_trajectory(dt=dt)], scene)
+
+
+class TestValidation:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"grid_dt": -0.005},
+            {"grid_dt": 0.0},
+            {"grid_dt": math.nan},
+            {"grid_dt": math.inf},
+            {"ttc_min": -0.5},
+            {"a_max": 0.0},
+            {"j_max": -8.0},
+            {"ego_half_extents": (0.0, 0.9)},
+            {"ego_half_extents": (2.3, -0.9)},
+        ],
+    )
+    def test_bad_score_config_rejected(self, kwargs):
+        with pytest.raises(ConfigError):
+            ScoreConfig(**kwargs)
+
+    @staticmethod
+    def scene_with_agent(**agent):
+        rec = scene_to_json(empty_scene())
+        rec["agents"] = [
+            {"pose": [5.0, 0.0, 0.0], "velocity": [0.0, 0.0], "half_extents": [1.0, 1.0], **agent}
+        ]
+        return scene_from_json(rec)
+
+    def test_good_agent_collides(self):
+        scene = self.scene_with_agent()
+        assert eval_subscores(straight_trajectory(), scene).nc == 0
+
+    def test_agent_extents_wrong_shape(self):
+        with pytest.raises(ShapeError):
+            self.scene_with_agent(half_extents=[2.0])
+
+    def test_agent_negative_extents(self):
+        with pytest.raises(DataError):
+            self.scene_with_agent(half_extents=[-1.0, 1.0])
+
+    def test_agent_non_finite_pose(self):
+        with pytest.raises(DataError):
+            self.scene_with_agent(pose=[math.nan, 0.0, 0.0])
