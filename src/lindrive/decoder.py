@@ -61,6 +61,8 @@ class Trajectory:
             raise ShapeError("a trajectory needs at least one waypoint")
         if not np.isfinite(self.waypoints).all():
             raise DataError("waypoints must be finite")
+        if not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise DataError(f"trajectory dt must be finite and positive, got {self.dt}")
         self.waypoints[:, 2] = wrap_angle(self.waypoints[:, 2])
 
     @property

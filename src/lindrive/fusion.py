@@ -51,10 +51,6 @@ class FrameTokens:
             raise ShapeError("camera and lidar token widths differ")
 
     @property
-    def n_tokens(self) -> int:
-        return self.camera.shape[0] + self.lidar.shape[0]
-
-    @property
     def d(self) -> int:
         return self.camera.shape[1]
 

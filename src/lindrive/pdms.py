@@ -74,9 +74,19 @@ class SceneEval:
     def __post_init__(self):
         self.drivable = np.asarray(self.drivable, dtype=np.float64)
         self.centerline = np.asarray(self.centerline, dtype=np.float64)
-        if self.drivable.ndim != 2 or self.drivable.shape[0] < 3:
+        for name in ("drivable", "centerline"):
+            shape = getattr(self, name).shape
+            if len(shape) != 2 or shape[1] != 2:
+                raise ShapeError(f"{name} must be (N, 2) points, got {shape}")
+        if not (
+            np.isfinite(self.drivable).all()
+            and np.isfinite(self.centerline).all()
+            and math.isfinite(self.reference_progress)
+        ):
+            raise DataError("drivable, centerline and reference progress must be finite")
+        if self.drivable.shape[0] < 3:
             raise DataError("drivable area needs at least 3 polygon vertices")
-        if self.centerline.ndim != 2 or self.centerline.shape[0] < 2:
+        if self.centerline.shape[0] < 2:
             raise DataError("route centerline needs at least 2 points")
         seg = np.diff(self.centerline, axis=0)
         if np.hypot(seg[:, 0], seg[:, 1]).sum() <= 0.0:
@@ -180,8 +190,6 @@ def _stack(trajs) -> tuple[np.ndarray, float]:
     if not trajs:
         raise ShapeError("a batch needs at least one trajectory")
     n, dt = trajs[0].n, trajs[0].dt
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise DataError(f"trajectory dt must be finite and positive, got {dt}")
     if any(t.n != n or t.dt != dt for t in trajs):
         raise ShapeError("trajectories of one batch must share n and dt")
     return np.stack([t.waypoints for t in trajs]), dt

@@ -22,11 +22,11 @@ as rows and key channels as columns, i.e. a fresh write is the outer product
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, NumericError, ShapeError
+from .errors import ConfigError, ContractError, DataError, NumericError, ShapeError
 
 NORM_EPS = 1e-5
 # epsilon inside the removal-key L2 norm; degenerate (all-zero) keys then
@@ -111,10 +111,6 @@ class LoraParams:
     B: np.ndarray  # (rank, d)
     bias: np.ndarray  # (d,)
 
-    @property
-    def rank(self) -> int:
-        return self.A.shape[1]
-
 
 @dataclass
 class RwkvBlockParams:
@@ -162,47 +158,71 @@ class RwkvBlockParams:
     ln_out_b: np.ndarray
 
     @property
-    def head_dim(self) -> int:
-        return self.d // self.n_heads
-
-    @property
-    def h_ff(self) -> int:
-        return self.W_ffn_k.shape[1]
-
-    @property
     def dtype(self) -> np.dtype:
         return self.W_r.dtype
 
+    def tensors(self) -> dict[str, np.ndarray]:
+        """Every tensor in field order, under its snapshot name: ``W_r``,
+        ``mu_w``, ``lora_w.A``, ``lora_w.bias``, ..."""
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "LoraParams":
+                out.update((f"{f.name}.{p.name}", getattr(value, p.name)) for p in fields(value))
+            elif f.type == "np.ndarray":
+                out[f.name] = value
+        return out
+
+    @classmethod
+    def from_tensors(cls, d: int, n_heads: int, tensor) -> "RwkvBlockParams":
+        """The inverse of tensors(), without validation: each tensor is
+        tensor(snapshot name), asked for in field order."""
+        kwargs = {}
+        for f in fields(cls):
+            if f.type == "LoraParams":
+                kwargs[f.name] = LoraParams(
+                    *(tensor(f"{f.name}.{p.name}") for p in fields(LoraParams))
+                )
+            elif f.type == "np.ndarray":
+                kwargs[f.name] = tensor(f.name)
+        return cls(d, n_heads, **kwargs)
+
     def validate(self) -> None:
+        """Check the shape of every tensor, one floating dtype for all, finite
+        values, the LoRA ranks and the [0, 1] range of the mix vectors."""
         if self.d % self.n_heads != 0:
             raise ConfigError(f"n_heads={self.n_heads} must divide d={self.d}")
-        for name in ("mu_r", "mu_w", "mu_k", "mu_v", "mu_a", "mu_g", "mu_ffn"):
-            mu = getattr(self, name)
-            if mu.shape != (self.d,):
-                raise ShapeError(f"{name} must have shape ({self.d},)")
-            if np.any(mu < 0.0) or np.any(mu > 1.0):
+        if not np.issubdtype(self.dtype, np.floating):
+            raise DataError(f"block tensors must be floating point, got {self.dtype}")
+        h_ff = _cols(self.W_ffn_k)
+        for name, t in self.tensors().items():
+            field, _, part = name.partition(".")
+            rank = _cols(getattr(self, field).A) if part else 0
+            shape = _tensor_shape(name, self.d, h_ff, rank)
+            if t.shape != shape:
+                raise ShapeError(f"{name} must have shape {shape}, got {t.shape}")
+            if t.dtype != self.dtype:
+                raise DataError(f"{name} is {t.dtype}, not the block's {self.dtype} (W_r)")
+            if not np.isfinite(t).all():
+                raise DataError(f"{name} holds non-finite values")
+            if part == "A" and not 1 <= rank <= self.d:
+                raise ConfigError(f"{field} rank must be in [1, {self.d}]")
+            if name.startswith("mu_") and (np.any(t < 0.0) or np.any(t > 1.0)):
                 raise ConfigError(f"{name} components must lie in [0, 1]")
-        for name in ("W_r", "W_k", "W_v", "W_o"):
-            if getattr(self, name).shape != (self.d, self.d):
-                raise ShapeError(f"{name} must be ({self.d}, {self.d})")
-        if self.W_ffn_k.shape[0] != self.d or self.W_ffn_v.shape != (
-            self.W_ffn_k.shape[1],
-            self.d,
-        ):
-            raise ShapeError("channel-mix projections do not chain d -> h_ff -> d")
-        for name in ("lora_w", "lora_a", "lora_v", "lora_g"):
-            lora = getattr(self, name)
-            if not 1 <= lora.rank <= self.d:
-                raise ConfigError(f"{name} rank must be in [1, {self.d}]")
-            if lora.A.shape != (self.d, lora.rank) or lora.B.shape != (
-                lora.rank,
-                self.d,
-            ):
-                raise ShapeError(f"{name} factors do not chain d -> rank -> d")
 
 
-def default_rank(d: int) -> int:
-    return max(1, d // 4)
+def _cols(t) -> int:
+    """Column count of a matrix, or -1 so that no expected shape matches."""
+    return t.shape[1] if t.ndim == 2 else -1
+
+
+def _tensor_shape(name: str, d: int, h_ff: int, rank: int) -> tuple[int, ...]:
+    """Shape of block tensor `name`: (d,) unless a projection or LoRA factor."""
+    special = {"W_ffn_k": (d, h_ff), "W_ffn_v": (h_ff, d), "A": (d, rank), "B": (rank, d)}
+    key = name.rpartition(".")[2]
+    if key in special:
+        return special[key]
+    return (d, d) if name.startswith("W_") else (d,)
 
 
 def random_block_params(
@@ -215,59 +235,32 @@ def random_block_params(
     dtype=np.float64,
     scale: float = 1.0,
 ) -> RwkvBlockParams:
-    """Seeded random parameters at sane magnitudes for tests and benchmarks."""
+    """Seeded random parameters at sane magnitudes for tests and benchmarks,
+    drawn in field order; matrices are normal with std scale / sqrt(fan-in)."""
     if h_ff is None:
         h_ff = 4 * d
     if rank is None:
-        rank = default_rank(d)
+        rank = max(1, d // 4)
     rng = np.random.default_rng(seed)
+    # (low, high) of uniform vector draws and std of normal ones; lora_g's
+    # bias is unused and drawn at scale 0, where `0.0 +` turns -0.0 into 0.0
+    uniform = {"k_k": (0.5, 0.9), "k_a": (0.9, 1.1)}
+    normal = {"r_k": 0.1, "lora_w.bias": 1.0, "lora_a.bias": 0.5,
+              "lora_v.bias": 0.5, "lora_g.bias": 0.0}
 
-    def mat(m, n, s):
-        return (rng.standard_normal((m, n)) * s).astype(dtype)
+    def draw(name):
+        shape = _tensor_shape(name, d, h_ff, rank)
+        if name.startswith("mu_"):
+            return rng.uniform(0.0, 1.0, d)
+        if name in uniform:
+            return rng.uniform(*uniform[name], d)
+        if name in normal:
+            return 0.0 + rng.standard_normal(d) * normal[name]
+        if name.startswith("ln"):
+            return np.ones(d) if name.endswith("_w") else np.zeros(d)
+        return rng.standard_normal(shape) * (scale / np.sqrt(shape[0]))
 
-    def vec(n, s=1.0, loc=0.0):
-        return (loc + rng.standard_normal(n) * s).astype(dtype)
-
-    def mix():
-        return rng.uniform(0.0, 1.0, d).astype(dtype)
-
-    def lora(bias_scale):
-        return LoraParams(
-            A=mat(d, rank, scale / np.sqrt(d)),
-            B=mat(rank, d, scale / np.sqrt(rank)),
-            bias=vec(d, bias_scale),
-        )
-
-    params = RwkvBlockParams(
-        d=d,
-        n_heads=n_heads,
-        mu_r=mix(),
-        mu_w=mix(),
-        mu_k=mix(),
-        mu_v=mix(),
-        mu_a=mix(),
-        mu_g=mix(),
-        mu_ffn=mix(),
-        W_r=mat(d, d, scale / np.sqrt(d)),
-        W_k=mat(d, d, scale / np.sqrt(d)),
-        W_v=mat(d, d, scale / np.sqrt(d)),
-        W_o=mat(d, d, scale / np.sqrt(d)),
-        W_ffn_k=mat(d, h_ff, scale / np.sqrt(d)),
-        W_ffn_v=mat(h_ff, d, scale / np.sqrt(h_ff)),
-        lora_w=lora(1.0),
-        lora_a=lora(0.5),
-        lora_v=lora(0.5),
-        lora_g=lora(0.0),
-        k_k=rng.uniform(0.5, 0.9, d).astype(dtype),
-        k_a=rng.uniform(0.9, 1.1, d).astype(dtype),
-        r_k=vec(d, 0.1),
-        ln1_w=np.ones(d, dtype=dtype),
-        ln1_b=np.zeros(d, dtype=dtype),
-        ln2_w=np.ones(d, dtype=dtype),
-        ln2_b=np.zeros(d, dtype=dtype),
-        ln_out_w=np.ones(d, dtype=dtype),
-        ln_out_b=np.zeros(d, dtype=dtype),
-    )
+    params = RwkvBlockParams.from_tensors(d, n_heads, lambda name: draw(name).astype(dtype))
     params.validate()
     return params
 
@@ -305,14 +298,6 @@ class RecurrentState:
     def nbytes(self) -> int:
         return self.S.nbytes + self.shift_tm.nbytes + self.shift_cm.nbytes
 
-    def copy(self) -> "RecurrentState":
-        return RecurrentState(
-            S=self.S.copy(),
-            shift_tm=self.shift_tm.copy(),
-            shift_cm=self.shift_cm.copy(),
-            tokens_seen=self.tokens_seen,
-        )
-
 
 @dataclass
 class ElementSet:
@@ -325,13 +310,11 @@ class ElementSet:
 
     r: np.ndarray
     w: np.ndarray
-    k: np.ndarray
     k_removal: np.ndarray
     k_replace: np.ndarray
     v: np.ndarray
     a: np.ndarray
     g: np.ndarray
-    nu: np.ndarray
     v0: np.ndarray
 
 
@@ -381,8 +364,7 @@ def _compute_elements(x, x_prev, params: RwkvBlockParams, layer: int, v0):
         v0_out = v0
     g = loramlp("sigmoid", xg, params.lora_g.A, params.lora_g.B, bias=False)
     return ElementSet(
-        r=r, w=w, k=k, k_removal=k_removal, k_replace=k_replace,
-        v=v, a=a, g=g, nu=nu, v0=v0_out,
+        r=r, w=w, k_removal=k_removal, k_replace=k_replace, v=v, a=a, g=g, v0=v0_out
     )
 
 
@@ -423,13 +405,7 @@ def state_step(S_prev, e: ElementSet):
     independently per head; khat is the L2-normalized removal key.
     """
     w, a, v, k_rep, khat = _head_operands(e, S_prev.shape[0])
-    if not (
-        np.isfinite(w).all()
-        and np.isfinite(a).all()
-        and np.isfinite(v).all()
-        and np.isfinite(k_rep).all()
-        and np.isfinite(khat).all()
-    ):
+    if not all(np.isfinite(x).all() for x in (w, a, v, k_rep, khat)):
         raise NumericError("non-finite element reached state_step")
     decayed = S_prev * w[:, None, :]
     removed = (S_prev @ khat[:, :, None]) * (a * khat)[:, None, :]

@@ -2,8 +2,10 @@
 
 Parameters serialize to a flat tensor container with named entries
 (``W_r``, ``mu_w``, ``lora_w.A``, ...), either binary ``.npz`` or JSON with
-nested lists. State snapshots are ``.npz`` only so that resuming a stream is
-bit-exact. Loaders validate all shapes before constructing objects.
+nested lists that records each entry's dtype. The entries are
+RwkvBlockParams.tensors() plus ``d`` and ``n_heads``. State snapshots are
+``.npz`` only so that resuming a stream is bit-exact. Loaders validate every
+shape and the dtype before returning an object.
 """
 
 from __future__ import annotations
@@ -13,65 +15,42 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ShapeError
-from .rwkv7 import LoraParams, RecurrentState, RwkvBlockParams
-
-_VECTOR_FIELDS = (
-    "mu_r", "mu_w", "mu_k", "mu_v", "mu_a", "mu_g", "mu_ffn",
-    "k_k", "k_a", "r_k",
-    "ln1_w", "ln1_b", "ln2_w", "ln2_b", "ln_out_w", "ln_out_b",
-)
-_MATRIX_FIELDS = ("W_r", "W_k", "W_v", "W_o", "W_ffn_k", "W_ffn_v")
-_LORA_FIELDS = ("lora_w", "lora_a", "lora_v", "lora_g")
+from .errors import DataError, ShapeError
+from .rwkv7 import RecurrentState, RwkvBlockParams
 
 
 def params_to_dict(params: RwkvBlockParams) -> dict[str, np.ndarray]:
     """Flatten block parameters into named tensors."""
-    out: dict[str, np.ndarray] = {}
-    for name in _VECTOR_FIELDS + _MATRIX_FIELDS:
-        out[name] = getattr(params, name)
-    for name in _LORA_FIELDS:
-        lora = getattr(params, name)
-        out[f"{name}.A"] = lora.A
-        out[f"{name}.B"] = lora.B
-        out[f"{name}.bias"] = lora.bias
-    out["d"] = np.asarray(params.d)
-    out["n_heads"] = np.asarray(params.n_heads)
-    return out
+    return {
+        **params.tensors(),
+        "d": np.asarray(params.d),
+        "n_heads": np.asarray(params.n_heads),
+    }
 
 
 def params_from_dict(tensors: dict[str, np.ndarray]) -> RwkvBlockParams:
-    """Rebuild block parameters, validating every shape."""
-    try:
-        d = int(tensors["d"])
-        n_heads = int(tensors["n_heads"])
-    except KeyError as exc:
-        raise ShapeError(f"snapshot missing entry {exc}") from None
-    kwargs = {"d": d, "n_heads": n_heads}
-    for name in _VECTOR_FIELDS + _MATRIX_FIELDS:
+    """Rebuild block parameters, validating every shape and the dtype."""
+
+    def entry(name):
         if name not in tensors:
             raise ShapeError(f"snapshot missing entry {name!r}")
-        kwargs[name] = np.asarray(tensors[name])
-    for name in _LORA_FIELDS:
-        parts = {}
-        for part in ("A", "B", "bias"):
-            key = f"{name}.{part}"
-            if key not in tensors:
-                raise ShapeError(f"snapshot missing entry {key!r}")
-            parts[part] = np.asarray(tensors[key])
-        kwargs[name] = LoraParams(**parts)
-    params = RwkvBlockParams(**kwargs)
+        return np.asarray(tensors[name])
+
+    params = RwkvBlockParams.from_tensors(int(entry("d")), int(entry("n_heads")), entry)
     params.validate()
     return params
 
 
 def save_params(path: str | Path, params: RwkvBlockParams) -> None:
-    """Write one block's parameters; format chosen by suffix (.npz or .json)."""
+    """Write one block's parameters; format chosen by suffix (.npz or .json).
+
+    JSON entries record their dims and dtype next to the nested-list data.
+    """
     path = Path(path)
     tensors = params_to_dict(params)
     if path.suffix == ".json":
         payload = {
-            name: {"dims": list(np.shape(t)), "data": np.asarray(t).tolist()}
+            name: {"dims": list(t.shape), "dtype": t.dtype.name, "data": t.tolist()}
             for name, t in tensors.items()
         }
         path.write_text(json.dumps(payload))
@@ -80,12 +59,18 @@ def save_params(path: str | Path, params: RwkvBlockParams) -> None:
 
 
 def load_params(path: str | Path) -> RwkvBlockParams:
+    """Read a block written by save_params; a JSON entry without a dtype
+    reads as float64."""
     path = Path(path)
     if path.suffix == ".json":
         payload = json.loads(path.read_text())
         tensors = {}
         for name, entry in payload.items():
-            arr = np.asarray(entry["data"], dtype=np.float64)
+            try:
+                dtype = np.dtype(entry.get("dtype", "float64"))
+            except TypeError:
+                raise DataError(f"entry {name!r}: unknown dtype {entry['dtype']!r}") from None
+            arr = np.asarray(entry["data"], dtype=dtype)
             if list(arr.shape) != entry["dims"]:
                 raise ShapeError(
                     f"entry {name!r}: recorded dims {entry['dims']} "

@@ -2,6 +2,7 @@
 independence, dtype boundaries, and agreement with a per-query block
 oracle."""
 
+import copy
 import time
 
 import numpy as np
@@ -104,7 +105,7 @@ class TestCrossAttend:
         p = random_block_params(8, seed=30)
         features = np.random.default_rng(31).standard_normal((9, 8))
         state = feature_state(features, p)
-        before = state.copy()
+        before = copy.deepcopy(state)
         for seed in (32, 33):
             q_enc = make_queries(4, 8, seed=seed)
             np.testing.assert_array_equal(

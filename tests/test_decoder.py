@@ -58,6 +58,15 @@ class TestTrajectory:
         with pytest.raises(DataError):
             Trajectory(np.array([[0.0, np.nan, 0.0]]))
 
+    @pytest.mark.parametrize("dt", [0.0, -0.5, np.nan])
+    def test_bad_timestep_rejected(self, dt):
+        wps = np.array([[1.0, 2.0, 0.5], [2.0, 3.0, 0.25]])
+        with pytest.raises(DataError):
+            Trajectory(wps, dt=dt)
+        rec = json.loads(json.dumps({"dt": dt, "waypoints": wps.tolist()}))
+        with pytest.raises(DataError):
+            Trajectory.from_json(rec)
+
     def test_json_round_trip(self):
         t = Trajectory(np.array([[1.0, 2.0, 0.5], [2.0, 3.0, 0.25]]))
         back = Trajectory.from_json(json.loads(json.dumps(t.to_json())))

@@ -1,6 +1,8 @@
 """Multi-frame fusion: sequence building, train/infer equivalence,
 constant-memory streaming, BEV assembly, and feature state dropout."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -139,7 +141,7 @@ class TestFusionModes:
         # a float64 frame must not run a float32 stream in float64
         params = random_fusion_params(8, 2, 1, 8, seed=12, dtype=np.float32)
         session = FusionSession(params)
-        before = session.state.copy()
+        before = copy.deepcopy(session.state)
         with pytest.raises(DataError):
             session.step(frames_fixture(1, seed=13)[0])
         np.testing.assert_array_equal(session.state.S, before.S)
@@ -268,7 +270,7 @@ class TestSessionAndFiles:
         return session
 
     def assert_restore_rejected(self, session, path, error):
-        before = session.state.copy()
+        before = copy.deepcopy(session.state)
         with pytest.raises(error):
             session.restore(path)
         assert session.frames_seen == 1
@@ -290,7 +292,7 @@ class TestSessionAndFiles:
 
     def test_restore_rejects_non_finite(self, tmp_path):
         session = self.streamed_session()
-        bad = session.state.copy()
+        bad = copy.deepcopy(session.state)
         bad.S[1, 0, 2, 3] = np.nan
         save_state(tmp_path / "nan.npz", bad)
         self.assert_restore_rejected(session, tmp_path / "nan.npz", DataError)

@@ -1,6 +1,7 @@
 """PDMS scoring: geometry primitives, sub-scores against a brute-force
 1 ms stepping oracle, and the aggregation formula."""
 
+import json
 import math
 
 import numpy as np
@@ -467,3 +468,35 @@ class TestValidation:
     def test_agent_non_finite_pose(self):
         with pytest.raises(DataError):
             self.scene_with_agent(pose=[math.nan, 0.0, 0.0])
+
+    @staticmethod
+    def edited_scene(edit):
+        rec = json.loads(json.dumps(scene_to_json(empty_scene())))
+        edit(rec)
+        return scene_from_json(rec)
+
+    def test_good_scene_scores(self):
+        scene = self.edited_scene(lambda rec: None)
+        subs = eval_subscores(straight_trajectory(), scene)
+        assert (subs.dac, subs.ep) == (1, 1.0)
+
+    @pytest.mark.parametrize("key", ["drivable", "centerline"])
+    def test_scene_points_wrong_shape(self, key):
+        def add_z(rec):
+            rec[key] = [p + [0.0] for p in rec[key]]
+
+        with pytest.raises(ShapeError):
+            self.edited_scene(add_z)
+
+    @pytest.mark.parametrize("key", ["drivable", "centerline"])
+    def test_scene_points_non_finite(self, key):
+        def nan_point(rec):
+            rec[key][1][0] = math.nan
+
+        with pytest.raises(DataError):
+            self.edited_scene(nan_point)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_reference_progress_non_finite(self, value):
+        with pytest.raises(DataError):
+            self.edited_scene(lambda rec: rec.update(reference_progress=value))

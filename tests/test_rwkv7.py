@@ -1,6 +1,7 @@
 """Core block tests: element equations against a scalar oracle, the
 delta-rule recurrence, and sequential <-> chunk-parallel equivalence."""
 
+import copy
 import math
 
 import numpy as np
@@ -95,8 +96,8 @@ def scalar_elements(x, x_prev, p, layer=0, v0=None):
     g_h = [_sig(z) for z in _scalar_matvec(xs["g"], p.lora_g.A.tolist())]
     g = _scalar_matvec(g_h, p.lora_g.B.tolist())
     return {
-        "r": r, "w": w, "k": k, "k_removal": k_removal,
-        "k_replace": k_replace, "v": v, "a": a, "g": g, "nu": nu,
+        "r": r, "w": w, "k_removal": k_removal,
+        "k_replace": k_replace, "v": v, "a": a, "g": g,
     }
 
 
@@ -141,8 +142,8 @@ def make_elements(T, d, n_heads=1, seed=0, dtype=np.float64):
     w = np.exp(-np.exp(-0.5) * 1.0 / (1.0 + np.exp(-arr()))).astype(dtype)
     a = (1.0 / (1.0 + np.exp(-arr()))).astype(dtype)
     return ElementSet(
-        r=arr(), w=w, k=arr(), k_removal=arr(), k_replace=arr(),
-        v=arr(), a=a, g=arr(), nu=a.copy(), v0=arr(),
+        r=arr(), w=w, k_removal=arr(), k_replace=arr(),
+        v=arr(), a=a, g=arr(), v0=arr(),
     )
 
 
@@ -261,11 +262,18 @@ class TestProjectElements:
     def test_rate_bounds_standard_inputs(self):
         p = random_block_params(8, seed=3)
         state = RecurrentState.zeros(8, 1)
+        deep_state = RecurrentState.zeros(8, 1, n_layers=2)
         rng = np.random.default_rng(4)
+        rng_v0 = np.random.default_rng(5)
         for _ in range(50):
-            e = project_one(rng.standard_normal(8), p, state)
+            x, v0 = rng.standard_normal(8), rng_v0.standard_normal(8)
+            e = project_one(x, p, state)
             assert np.all((e.a > 0) & (e.a < 1))
-            assert np.all((e.nu > 0) & (e.nu < 1))
+            # a deeper layer's value lerps from v0 towards this block's own
+            # value (layer 0's v) by nu, so nu in (0, 1) puts it in between
+            deep = project_one(x, p, deep_state, layer=1, v0=v0)
+            nu = (deep.v - v0) / (e.v - v0)
+            assert np.all((nu > 0) & (nu < 1))
 
 
 # ---------------------------------------------------------------------------
@@ -305,10 +313,9 @@ class TestStateStep:
         khat = [z / norm for z in kappa]
         want = scalar_state_step(S_prev, w, a, khat, v, k_rep)
         step = ElementSet(
-            r=np.zeros(2), w=np.array(w), k=np.zeros(2),
+            r=np.zeros(2), w=np.array(w),
             k_removal=np.array(kappa), k_replace=np.array(k_rep),
-            v=np.array(v), a=np.array(a), g=np.zeros(2), nu=np.zeros(2),
-            v0=np.zeros(2),
+            v=np.array(v), a=np.array(a), g=np.zeros(2), v0=np.zeros(2),
         )
         S = state_step(np.array(S_prev)[None], step)
         np.testing.assert_allclose(S[0], want, rtol=1e-12)
@@ -512,7 +519,7 @@ class TestBlockForward:
     def test_empty_sequence_noop(self):
         p = random_block_params(4, seed=29)
         state = RecurrentState.zeros(4, 1)
-        before = state.copy()
+        before = copy.deepcopy(state)
         out, _ = block_forward(np.zeros((0, 4)), p, state)
         assert out.shape == (0, 4)
         np.testing.assert_array_equal(state.S, before.S)
@@ -581,7 +588,7 @@ class TestBlockBranch:
     def test_state_untouched(self):
         p = random_block_params(8, seed=74)
         _, state = self.prefix_state(p, seed=75)
-        before = state.copy()
+        before = copy.deepcopy(state)
         block_branch(np.random.default_rng(76).standard_normal((4, 8)), p, state)
         for field in ("S", "shift_tm", "shift_cm"):
             np.testing.assert_array_equal(getattr(state, field), getattr(before, field))

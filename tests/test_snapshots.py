@@ -1,11 +1,18 @@
 """Round-trip and validation tests for parameter/state snapshots."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 
 from lindrive import snapshots
-from lindrive.errors import ShapeError
+from lindrive.errors import DataError, ShapeError
 from lindrive.rwkv7 import RecurrentState, block_forward, random_block_params
+
+BLOCK = random_block_params(8, n_heads=2, seed=10, h_ff=12, rank=3)
+# every block tensor under its snapshot name
+NAMES = list(BLOCK.tensors())
 
 
 def assert_params_equal(a, b, exact=True):
@@ -50,6 +57,79 @@ class TestParamSnapshots:
         tensors = snapshots.params_to_dict(random_block_params(8, seed=5))
         for key in ("W_r", "mu_w", "lora_w.A", "lora_w.B", "lora_w.bias", "k_k"):
             assert key in tensors
+
+
+class TestParamSchema:
+    """Every entry of RwkvBlockParams.tensors() is checked on load."""
+
+    def test_entries_are_tensors_plus_sizes(self):
+        assert len(NAMES) == 34
+        assert list(snapshots.params_to_dict(BLOCK)) == NAMES + ["d", "n_heads"]
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_missing_entry_rejected(self, name):
+        tensors = snapshots.params_to_dict(BLOCK)
+        del tensors[name]
+        with pytest.raises(ShapeError, match=re.escape(name)):
+            snapshots.params_from_dict(tensors)
+
+    @pytest.mark.parametrize("edit", ["drop_row", "add_axis"])
+    @pytest.mark.parametrize("name", NAMES)
+    def test_wrong_shape_rejected(self, name, edit):
+        tensors = snapshots.params_to_dict(BLOCK)
+        t = tensors[name]
+        tensors[name] = t[:-1] if edit == "drop_row" else t[None]
+        with pytest.raises(ShapeError, match=re.escape(name)):
+            snapshots.params_from_dict(tensors)
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_wrong_dtype_rejected(self, name):
+        tensors = snapshots.params_to_dict(BLOCK)
+        tensors[name] = tensors[name].astype(np.float32)
+        with pytest.raises(DataError):
+            snapshots.params_from_dict(tensors)
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_non_finite_rejected(self, name):
+        tensors = snapshots.params_to_dict(BLOCK)
+        tensors[name] = tensors[name].copy()
+        tensors[name].flat[-1] = np.nan
+        with pytest.raises(DataError, match=re.escape(name)):
+            snapshots.params_from_dict(tensors)
+
+    def test_integer_block_rejected(self):
+        tensors = {k: t.astype(np.int64) for k, t in snapshots.params_to_dict(BLOCK).items()}
+        with pytest.raises(DataError):
+            snapshots.params_from_dict(tensors)
+
+    @pytest.mark.parametrize("suffix", [".npz", ".json"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_round_trip_exact(self, tmp_path, dtype, suffix):
+        p = random_block_params(8, n_heads=2, seed=11, dtype=dtype)
+        path = tmp_path / f"block{suffix}"
+        snapshots.save_params(path, p)
+        loaded = snapshots.load_params(path).tensors()
+        for name, t in p.tensors().items():
+            assert loaded[name].dtype == dtype, name
+            np.testing.assert_array_equal(loaded[name], t, err_msg=name)
+
+    def test_json_without_dtype_reads_float64(self, tmp_path):
+        path = tmp_path / "block.json"
+        snapshots.save_params(path, BLOCK)
+        payload = json.loads(path.read_text())
+        for entry in payload.values():
+            del entry["dtype"]
+        path.write_text(json.dumps(payload))
+        assert_params_equal(BLOCK, snapshots.load_params(path))
+
+    def test_json_unknown_dtype_rejected(self, tmp_path):
+        path = tmp_path / "block.json"
+        snapshots.save_params(path, BLOCK)
+        payload = json.loads(path.read_text())
+        payload["W_r"]["dtype"] = "float17"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError):
+            snapshots.load_params(path)
 
 
 class TestStateSnapshots:
