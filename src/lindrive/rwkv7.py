@@ -65,42 +65,17 @@ def lerp(a, b, mix):
     return a + (b - a) * mix
 
 
-_ACTIVATIONS = {
-    "identity": lambda x: x,
-    "tanh": np.tanh,
-    "sigmoid": sigmoid,
-}
-
-
-def loramlp(act: str, x, A, B, lam=None, bias: bool = True):
-    """Low-rank MLP ``f(x @ A) @ B (+ lam)``.
-
-    `act` is one of "identity", "tanh", "sigmoid" and is applied to the
-    low-rank intermediate, not the output.
-    """
-    try:
-        f = _ACTIVATIONS[act]
-    except KeyError:
-        raise ConfigError(f"unknown activation tag {act!r}") from None
-    x = np.asarray(x)
-    if x.shape[-1] != A.shape[0] or A.shape[1] != B.shape[0]:
-        raise ShapeError(
-            f"loramlp shapes do not chain: x{x.shape} A{A.shape} B{B.shape}"
-        )
-    out = f(x @ A) @ B
-    if bias:
-        if lam is None:
-            raise ContractError("bias=True requires a bias vector")
-        out = out + lam
-    return out
+def _standardize(x, eps: float = NORM_EPS):
+    """(x - mean) / sqrt(var + eps) over the last axis, in one pass: the
+    same reductions and divisions that np.mean and np.var run."""
+    n = x.shape[-1]
+    c = x - np.add.reduce(x, axis=-1, keepdims=True) / n
+    return c / np.sqrt(np.add.reduce(c * c, axis=-1, keepdims=True) / n + eps)
 
 
 def layer_norm(x, weight, bias, eps: float = NORM_EPS):
     """LayerNorm over the last axis with learned affine."""
-    x = np.asarray(x)
-    mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    return (x - mean) / np.sqrt(var + eps) * weight + bias
+    return _standardize(np.asarray(x), eps) * weight + bias
 
 
 @dataclass
@@ -333,38 +308,30 @@ def _normalize_removal(k_removal_heads):
 
 def _compute_elements(x, x_prev, params: RwkvBlockParams, layer: int, v0):
     """Element equations for a batch of rows; x is (T, d), x_prev (T, d) or
-    one (d,) row shared by every token."""
-    xr = lerp(x, x_prev, params.mu_r)
-    xw = lerp(x, x_prev, params.mu_w)
-    xk = lerp(x, x_prev, params.mu_k)
-    xv = lerp(x, x_prev, params.mu_v)
-    xa = lerp(x, x_prev, params.mu_a)
-    xg = lerp(x, x_prev, params.mu_g)
-
-    r = xr @ params.W_r
-    w = np.exp(
-        -DECAY_GAIN
-        * sigmoid(loramlp("tanh", xw, params.lora_w.A, params.lora_w.B, params.lora_w.bias))
-    )
+    one (d,) row shared by every token. One lerp over the stacked mix
+    vectors gives all six token-shifted inputs."""
+    mu = np.array([params.mu_r, params.mu_w, params.mu_k, params.mu_v, params.mu_a, params.mu_g])
+    xr, xw, xk, xv, xa, xg = lerp(x, x_prev, mu[:, None])
+    lw, la, lv, lg = params.lora_w, params.lora_a, params.lora_v, params.lora_g
+    w = np.exp(-DECAY_GAIN * sigmoid(np.tanh(xw @ lw.A) @ lw.B + lw.bias))
     k = xk @ params.W_k
-    k_removal = k * params.k_k
-    a = sigmoid(
-        loramlp("identity", xa, params.lora_a.A, params.lora_a.B, params.lora_a.bias)
-    )
-    k_replace = k * lerp(np.ones_like(a), a, params.k_a)
-    nu = sigmoid(
-        loramlp("identity", xv, params.lora_v.A, params.lora_v.B, params.lora_v.bias)
-    )
-    v_layer = xv @ params.W_v
+    a = sigmoid(xa @ la.A @ la.B + la.bias)
+    v = xv @ params.W_v
     if layer == 0:
-        v = v_layer
-        v0_out = v_layer
+        v0 = v
     else:
-        v = lerp(v0, v_layer, nu)
-        v0_out = v0
-    g = loramlp("sigmoid", xg, params.lora_g.A, params.lora_g.B, bias=False)
+        # value residual: lerp from the layer-0 value by nu
+        nu = sigmoid(xv @ lv.A @ lv.B + lv.bias)
+        v = v0 + (v - v0) * nu
     return ElementSet(
-        r=r, w=w, k_removal=k_removal, k_replace=k_replace, v=v, a=a, g=g, v0=v0_out
+        r=xr @ params.W_r,
+        w=w,
+        k_removal=k * params.k_k,
+        k_replace=k * (1.0 + (a - 1.0) * params.k_a),
+        v=v,
+        a=a,
+        g=sigmoid(xg @ lg.A) @ lg.B,
+        v0=v0,
     )
 
 
@@ -524,10 +491,7 @@ def time_mix_output(e: ElementSet, y, params: RwkvBlockParams):
     k_rep = _split_heads(e.k_replace, H)
     v = _split_heads(e.v, H)
     r_k = _split_heads(params.r_k, H)
-    mean = y.mean(axis=-1, keepdims=True)
-    var = y.var(axis=-1, keepdims=True)
-    yn = (y - mean) / np.sqrt(var + NORM_EPS)
-    p = yn.reshape(y.shape[0], -1) * params.ln_out_w + params.ln_out_b
+    p = _standardize(y).reshape(y.shape[0], -1) * params.ln_out_w + params.ln_out_b
     bonus = np.sum(r * (r_k * k_rep), axis=-1, keepdims=True) * v
     p = p + bonus.reshape(p.shape)
     bad = ~np.isfinite(p).all(axis=1)

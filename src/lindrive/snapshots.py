@@ -11,6 +11,7 @@ shape and the dtype before returning an object.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -60,64 +61,66 @@ def save_params(path: str | Path, params: RwkvBlockParams) -> None:
 
 def load_params(path: str | Path) -> RwkvBlockParams:
     """Read a block written by save_params; a JSON entry without a dtype
-    reads as float64."""
+    reads as float64. A malformed JSON entry raises DataError naming it."""
     path = Path(path)
     if path.suffix == ".json":
         payload = json.loads(path.read_text())
-        tensors = {}
-        for name, entry in payload.items():
-            try:
-                dtype = np.dtype(entry.get("dtype", "float64"))
-            except TypeError:
-                raise DataError(f"entry {name!r}: unknown dtype {entry['dtype']!r}") from None
-            arr = np.asarray(entry["data"], dtype=dtype)
-            if list(arr.shape) != entry["dims"]:
-                raise ShapeError(
-                    f"entry {name!r}: recorded dims {entry['dims']} "
-                    f"do not match data shape {list(arr.shape)}"
-                )
-            tensors[name] = arr
-        return params_from_dict(tensors)
+        if not isinstance(payload, dict):
+            raise DataError("a JSON parameter file must hold an object of entries")
+        return params_from_dict({name: _json_entry(name, e) for name, e in payload.items()})
     with np.load(path) as data:
         return params_from_dict(dict(data))
 
 
+def _json_entry(name: str, entry) -> np.ndarray:
+    """The array of one JSON entry, checked against its recorded dims."""
+    if not isinstance(entry, dict) or not {"dims", "data"} <= entry.keys():
+        raise DataError(f"entry {name!r} must be an object with 'dims' and 'data'")
+    try:
+        dtype = np.dtype(entry.get("dtype", "float64"))
+    except TypeError:
+        raise DataError(f"entry {name!r}: unknown dtype {entry['dtype']!r}") from None
+    try:
+        arr = np.asarray(entry["data"], dtype=dtype)
+    except (TypeError, ValueError) as err:
+        raise DataError(f"entry {name!r}: data is not a rectangular array of numbers ({err})") from None
+    if list(arr.shape) != entry["dims"]:
+        raise ShapeError(
+            f"entry {name!r}: recorded dims {entry['dims']} "
+            f"do not match data shape {list(arr.shape)}"
+        )
+    return arr
+
+
 def save_state(path: str | Path, state: RecurrentState, **extra_counters) -> None:
-    """Serialize a stream state; round-trips bit-exactly.
+    """Serialize a stream state, one entry per RecurrentState field;
+    round-trips bit-exactly.
 
     Extra integer counters (e.g. a fusion session's frame count) are stored
     alongside and returned by load_state.
     """
+    entries = {f.name: getattr(state, f.name) for f in fields(RecurrentState)}
+    entries["tokens_seen"] = np.asarray(state.tokens_seen, dtype=np.int64)
     np.savez(
         Path(path),
-        S=state.S,
-        shift_tm=state.shift_tm,
-        shift_cm=state.shift_cm,
-        tokens_seen=np.asarray(state.tokens_seen, dtype=np.int64),
+        **entries,
         **{k: np.asarray(v, dtype=np.int64) for k, v in extra_counters.items()},
     )
 
 
 def load_state(path: str | Path) -> tuple[RecurrentState, dict[str, int]]:
+    names = [f.name for f in fields(RecurrentState)]
     with np.load(Path(path)) as data:
-        for key in ("S", "shift_tm", "shift_cm", "tokens_seen"):
+        for key in names:
             if key not in data:
                 raise ShapeError(f"state snapshot missing entry {key!r}")
-        S = data["S"]
-        shift_tm = data["shift_tm"]
-        shift_cm = data["shift_cm"]
-        if S.ndim != 4 or shift_tm.shape != shift_cm.shape:
-            raise ShapeError("state snapshot arrays have inconsistent shapes")
-        n_layers, n_heads, hd, hd2 = S.shape
-        if hd != hd2 or shift_tm.shape != (n_layers, n_heads * hd):
-            raise ShapeError("state snapshot arrays have inconsistent shapes")
-        state = RecurrentState(
-            S=S, shift_tm=shift_tm, shift_cm=shift_cm,
-            tokens_seen=int(data["tokens_seen"]),
-        )
-        extras = {
-            k: int(data[k])
-            for k in data.files
-            if k not in ("S", "shift_tm", "shift_cm", "tokens_seen")
-        }
+        state = RecurrentState(**{k: data[k] for k in names})
+        extras = {k: int(data[k]) for k in data.files if k not in names}
+    state.tokens_seen = int(state.tokens_seen)
+    S, shift_tm = state.S, state.shift_tm
+    if S.ndim != 4 or shift_tm.shape != state.shift_cm.shape:
+        raise ShapeError("state snapshot arrays have inconsistent shapes")
+    n_layers, n_heads, hd, hd2 = S.shape
+    if hd != hd2 or shift_tm.shape != (n_layers, n_heads * hd):
+        raise ShapeError("state snapshot arrays have inconsistent shapes")
     return state, extras

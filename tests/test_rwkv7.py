@@ -20,7 +20,6 @@ from lindrive.rwkv7 import (
     forward_stack,
     layer_norm,
     lerp,
-    loramlp,
     project_elements_seq,
     random_block_params,
     branch_readouts,
@@ -169,31 +168,6 @@ class TestOperators:
         with pytest.raises(ShapeError):
             lerp(np.zeros(3), np.zeros(4), np.zeros(3))
 
-    def test_loramlp_zero_input_identity(self):
-        rng = np.random.default_rng(2)
-        A, B = rng.standard_normal((4, 2)), rng.standard_normal((2, 4))
-        lam = rng.standard_normal(4)
-        np.testing.assert_array_equal(
-            loramlp("identity", np.zeros(4), A, B, lam), lam
-        )
-
-    def test_loramlp_tanh_zero(self):
-        rng = np.random.default_rng(3)
-        A, B = rng.standard_normal((4, 2)), rng.standard_normal((2, 4))
-        np.testing.assert_array_equal(
-            loramlp("tanh", np.zeros(4), A, B, np.zeros(4)), np.zeros(4)
-        )
-
-    def test_loramlp_sigmoid_scalar(self):
-        # d = rank = 1 with identity factors reduces to plain sigmoid
-        x = np.array([0.3])
-        out = loramlp("sigmoid", x, np.eye(1), np.eye(1), bias=False)
-        np.testing.assert_allclose(out, [1.0 / (1.0 + math.exp(-0.3))], rtol=1e-15)
-
-    def test_loramlp_unknown_activation(self):
-        with pytest.raises(ConfigError):
-            loramlp("relu", np.zeros(2), np.eye(2), np.eye(2), np.zeros(2))
-
 
 # ---------------------------------------------------------------------------
 # element projections
@@ -274,6 +248,120 @@ class TestProjectElements:
             deep = project_one(x, p, deep_state, layer=1, v0=v0)
             nu = (deep.v - v0) / (e.v - v0)
             assert np.all((nu > 0) & (nu < 1))
+
+
+def reference_elements(x, x_prev, p, layer, v0):
+    """The element equations as six separate token-shift lerps and the
+    low-rank MLP f(x @ A) @ B (+ bias) written out for each use."""
+
+    def lora(f, x, q, bias=True):
+        out = f(x @ q.A) @ q.B
+        return out + q.bias if bias else out
+
+    def identity(z):
+        return z
+
+    xs = {n: lerp(x, x_prev, getattr(p, "mu_" + n)) for n in ("r", "w", "k", "v", "a", "g")}
+    k = xs["k"] @ p.W_k
+    a = rwkv7.sigmoid(lora(identity, xs["a"], p.lora_a))
+    v_layer = xs["v"] @ p.W_v
+    if layer == 0:
+        v = v0 = v_layer
+    else:
+        v = lerp(v0, v_layer, rwkv7.sigmoid(lora(identity, xs["v"], p.lora_v)))
+    return {
+        "r": xs["r"] @ p.W_r,
+        "w": np.exp(-rwkv7.DECAY_GAIN * rwkv7.sigmoid(lora(np.tanh, xs["w"], p.lora_w))),
+        "k_removal": k * p.k_k,
+        "k_replace": k * lerp(np.ones_like(a), a, p.k_a),
+        "v": v,
+        "a": a,
+        "g": lora(rwkv7.sigmoid, xs["g"], p.lora_g, bias=False),
+        "v0": v0,
+    }
+
+
+def assert_elements_equal(e, want):
+    for name, value in want.items():
+        got = getattr(e, name)
+        assert got.dtype == value.dtype, name
+        np.testing.assert_array_equal(got, value, err_msg=name)
+
+
+DTYPES = [np.float32, np.float64]
+
+
+class TestBitExact:
+    """The block body's lean forms equal the plain formulas bit for bit."""
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("d", [2, 8, 64, 67])
+    def test_layer_norm_matches_mean_var(self, d, dtype):
+        rng = np.random.default_rng(d)
+        x = (rng.standard_normal((9, d)) * 3.0 + 1.5).astype(dtype)
+        w, b = rng.standard_normal((2, d)).astype(dtype)
+        mean, var = x.mean(axis=-1, keepdims=True), x.var(axis=-1, keepdims=True)
+        want = (x - mean) / np.sqrt(var + rwkv7.NORM_EPS) * w + b
+        got = layer_norm(x, w, b)
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_time_mix_head_norm_matches_mean_var(self, dtype):
+        p = random_block_params(64, n_heads=4, seed=90, dtype=dtype)
+        e = make_elements(11, 64, 4, seed=91, dtype=dtype)
+        y = (np.random.default_rng(92).standard_normal((11, 4, 16)) * 2.0).astype(dtype)
+        yn = (y - y.mean(axis=-1, keepdims=True)) / np.sqrt(
+            y.var(axis=-1, keepdims=True) + rwkv7.NORM_EPS
+        )
+        r, k_rep, v = (x.reshape(11, 4, 16) for x in (e.r, e.k_replace, e.v))
+        bonus = np.sum(r * (p.r_k.reshape(4, 16) * k_rep), axis=-1, keepdims=True) * v
+        ph = yn.reshape(11, 64) * p.ln_out_w + p.ln_out_b + bonus.reshape(11, 64)
+        np.testing.assert_array_equal(time_mix_output(e, y, p), (e.g * ph) @ p.W_o)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("layer", [0, 1])
+    def test_project_elements_seq(self, layer, dtype):
+        # per-row x_prev: the shift cache, then the chunk's own tokens
+        p = random_block_params(64, n_heads=4, seed=93 + layer, dtype=dtype)
+        rng = np.random.default_rng(95)
+        X, v0, shift = (rng.standard_normal((3, 13, 64)).astype(dtype))
+        state = RecurrentState.zeros(64, 4, n_layers=2, dtype=dtype)
+        state.shift_tm[layer] = shift[0]
+        e = project_elements_seq(X, p, state, layer, v0 if layer else None)
+        x_prev = np.vstack([shift[:1], X[:-1]])
+        assert_elements_equal(e, reference_elements(X, x_prev, p, layer, v0))
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("layer", [0, 1])
+    def test_shared_row_elements(self, layer, dtype):
+        # one (d,) x_prev row shared by every token, as block_branch passes
+        p = random_block_params(64, n_heads=4, seed=96 + layer, dtype=dtype)
+        rng = np.random.default_rng(98)
+        X, v0 = rng.standard_normal((2, 8, 64)).astype(dtype)
+        x_prev = rng.standard_normal(64).astype(dtype)
+        e = rwkv7._compute_elements(X, x_prev, p, layer, v0 if layer else None)
+        assert_elements_equal(e, reference_elements(X, x_prev, p, layer, v0))
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_block_branch_elements(self, dtype, monkeypatch):
+        p = random_block_params(64, n_heads=4, seed=99, dtype=dtype)
+        rng = np.random.default_rng(100)
+        state = RecurrentState.zeros(64, 4, dtype=dtype)
+        block_forward(rng.standard_normal((20, 64)).astype(dtype), p, state, "chunked")
+        rows = rng.standard_normal((8, 64)).astype(dtype)
+        seen = []
+        compute = rwkv7._compute_elements
+
+        def spy(*args):
+            seen.append(compute(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(rwkv7, "_compute_elements", spy)
+        block_branch(rows, p, state)
+        xn = layer_norm(rows, p.ln1_w, p.ln1_b)
+        (e,) = seen
+        assert_elements_equal(e, reference_elements(xn, state.shift_tm[0], p, 0, None))
 
 
 # ---------------------------------------------------------------------------

@@ -132,6 +132,43 @@ class TestParamSchema:
             snapshots.load_params(path)
 
 
+class TestJsonEntries:
+    """A malformed JSON entry raises a typed error that names it."""
+
+    def load_edited(self, tmp_path, edit):
+        path = tmp_path / "block.json"
+        snapshots.save_params(path, BLOCK)
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        return snapshots.load_params(path)
+
+    def test_ragged_data_rejected(self, tmp_path):
+        def ragged(payload):
+            payload["W_r"]["data"][1] = payload["W_r"]["data"][1][:-1]
+
+        with pytest.raises(DataError, match="'W_r'"):
+            self.load_edited(tmp_path, ragged)
+
+    @pytest.mark.parametrize("key", ["dims", "data"])
+    def test_missing_field_rejected(self, tmp_path, key):
+        with pytest.raises(DataError, match="'lora_a.B'"):
+            self.load_edited(tmp_path, lambda payload: payload["lora_a.B"].pop(key))
+
+    def test_non_object_entry_rejected(self, tmp_path):
+        def flatten(payload):
+            payload["k_k"] = payload["k_k"]["data"]
+
+        with pytest.raises(DataError, match="'k_k'"):
+            self.load_edited(tmp_path, flatten)
+
+    def test_non_object_file_rejected(self, tmp_path):
+        path = tmp_path / "block.json"
+        path.write_text(json.dumps([1.0, 2.0]))
+        with pytest.raises(DataError, match="object of entries"):
+            snapshots.load_params(path)
+
+
 class TestStateSnapshots:
     def test_round_trip_bit_exact(self, tmp_path):
         p = random_block_params(8, n_heads=2, seed=6)
@@ -164,6 +201,13 @@ class TestStateSnapshots:
         np.testing.assert_array_equal(out_tail, out_mem)
         # and matches the uninterrupted run up to chunk-boundary round-off
         np.testing.assert_allclose(out_tail, out_full[6:], atol=1e-12)
+
+    def test_entries_are_state_fields(self, tmp_path):
+        path = tmp_path / "state.npz"
+        snapshots.save_state(path, RecurrentState.zeros(8, 2), frames_seen=1)
+        with np.load(path) as data:
+            assert data.files == ["S", "shift_tm", "shift_cm", "tokens_seen", "frames_seen"]
+            assert data["tokens_seen"].dtype == np.int64
 
     def test_corrupt_snapshot_rejected(self, tmp_path):
         path = tmp_path / "bad.npz"
