@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, ShapeError
+from .errors import ShapeError
 from .rwkv7 import RecurrentState, RwkvBlockParams, block_branch, block_forward
 
 
@@ -57,17 +57,11 @@ class CrossAttnParams:
         return self.mixer.d
 
 
-def _check_dtype(what: str, tokens, params: RwkvBlockParams) -> None:
-    if tokens.dtype != params.dtype:
-        raise DataError(f"{what} dtype {tokens.dtype} is not the block's {params.dtype}")
-
-
 def encode_query(
     q: QuerySet,
     enc_params: RwkvBlockParams,
 ) -> QuerySet:
     """Encode every query on its own with one block, from a zero state."""
-    _check_dtype("query", q.tokens, enc_params)
     state = RecurrentState.zeros(enc_params.d, enc_params.n_heads, dtype=enc_params.dtype)
     return QuerySet(block_branch(q.tokens, enc_params, state))
 
@@ -75,8 +69,6 @@ def encode_query(
 def feature_state(features, mixer: RwkvBlockParams) -> RecurrentState:
     """Read the feature tokens into a fresh state of the mixing block: one
     chunk-parallel pass, cost linear in L."""
-    features = np.asarray(features)
-    _check_dtype("feature", features, mixer)
     state = RecurrentState.zeros(mixer.d, mixer.n_heads, dtype=mixer.dtype)
     block_forward(features, mixer, state, "chunked")
     return state
@@ -89,7 +81,6 @@ def read_state(
 ) -> QuerySet:
     """Let every encoded query read a feature state as its own next token;
     the state is not changed, so it can serve any number of reads."""
-    _check_dtype("query", q_enc.tokens, mixer)
     return QuerySet(block_branch(q_enc.tokens, mixer, state))
 
 

@@ -172,15 +172,13 @@ class NoiseSchedule:
 
 
 def cluster_anchors(dataset, k: int, seed: int) -> AnchorSet:
-    """K-means over flattened waypoint vectors (Lloyd with k-means++ init).
+    """K-means over flattened waypoint vectors (Lloyd with k-means++ init) of
+    `dataset`, a list of Trajectory or an (N, n, 3) waypoint array.
 
     Runs at most 100 iterations or until assignments stop changing; the
     centroids come back reshaped as trajectories.
     """
-    if isinstance(dataset, AnchorSet):
-        data = dataset.stacked()
-        dt = dataset.dt
-    elif isinstance(dataset, (list, tuple)) and dataset and isinstance(dataset[0], Trajectory):
+    if isinstance(dataset, (list, tuple)) and dataset and isinstance(dataset[0], Trajectory):
         data = np.stack([t.waypoints for t in dataset])
         dt = dataset[0].dt
     else:

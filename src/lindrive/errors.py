@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
-Each class maps to a distinct CLI exit code, so failures stay
-distinguishable from scripts.
+Every class derives from LindriveError, which the CLI reports with exit
+code 4 whatever the subclass; library callers can tell them apart.
 """
 
 

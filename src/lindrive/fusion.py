@@ -117,19 +117,11 @@ class FusionParams:
         return self.blocks[0].d
 
     @property
-    def n_layers(self) -> int:
-        return len(self.blocks)
-
-    @property
-    def n_heads(self) -> int:
-        return self.blocks[0].n_heads
-
-    @property
     def dtype(self) -> np.dtype:
         return self.pos_emb.dtype
 
     def fresh_state(self) -> RecurrentState:
-        return RecurrentState.zeros(self.d, self.n_heads, self.n_layers, self.dtype)
+        return RecurrentState.zeros(self.d, self.blocks[0].n_heads, len(self.blocks), self.dtype)
 
 
 def random_fusion_params(
@@ -175,9 +167,6 @@ def fuse_parallel(
     params: FusionParams,
 ) -> np.ndarray:
     """Fuse a whole multi-frame sequence in chunk-parallel mode, fresh state."""
-    seq = np.asarray(seq)
-    if seq.dtype != params.dtype:
-        raise DataError(f"sequence dtype {seq.dtype} is not the params' {params.dtype}")
     return forward_stack(seq, params.blocks, params.fresh_state(), "chunked")
 
 
@@ -191,12 +180,9 @@ def fuse_step(
     Only the current frame's tokens are touched: per-frame cost and the
     state's byte size do not depend on how many frames were consumed before.
     """
-    if state.n_layers != params.n_layers:
-        raise ConfigError(
-            f"state has {state.n_layers} layers, params have {params.n_layers}"
-        )
     if frame.d != params.d:
         raise ConfigError(f"frame width {frame.d} != fusion width {params.d}")
+    # adding pos_emb could promote the frame before forward_stack checks it
     if {frame.camera.dtype, frame.lidar.dtype} != {params.dtype}:
         raise DataError(f"frame {frame.t} dtype is not the params' {params.dtype}")
     seq = build_frame_sequence([frame], params.pos_emb)
@@ -287,44 +273,37 @@ def feature_state_dropout(
 
 
 class FusionSession:
-    """A streaming inference session: params + state + frame counter."""
+    """A streaming inference session: params + state. The state's token
+    counter is the only counter; frames are counted from it."""
 
     def __init__(self, params: FusionParams):
         self.params = params
         self.state = params.fresh_state()
-        self.frames_seen = 0
 
     def step(self, frame: FrameTokens) -> np.ndarray:
-        fused, _ = fuse_step(frame, self.params, self.state)
-        self.frames_seen += 1
-        return fused
+        return fuse_step(frame, self.params, self.state)[0]
+
+    @property
+    def frames_seen(self) -> int:
+        return self.state.tokens_seen // self.params.pos_emb.shape[0]
 
     @property
     def persistent_bytes(self) -> int:
         return self.state.nbytes
 
     def save(self, path) -> None:
-        snapshots.save_state(path, self.state, frames_seen=self.frames_seen)
+        snapshots.save_state(path, self.state)
 
     def restore(self, path) -> None:
         """Resume from a snapshot of a session with the same layers, width,
         heads and dtype; on a mismatch the current state is kept."""
-        state, extras = snapshots.load_state(path)
-        if state.S.shape != self.state.S.shape:
-            raise ShapeError(
-                f"snapshot state (layers, heads, head_dim, head_dim) "
-                f"{state.S.shape} does not match the session's {self.state.S.shape}"
-            )
-        arrays = (state.S, state.shift_tm, state.shift_cm)
-        if any(a.dtype != self.state.S.dtype for a in arrays):
-            raise DataError(
-                f"snapshot dtype {state.S.dtype} does not match the "
-                f"session's {self.state.S.dtype}"
-            )
-        if not all(np.isfinite(a).all() for a in arrays):
-            raise DataError("snapshot state holds non-finite values")
+        state = snapshots.load_state(path)
+        S, ours = state.S, self.state.S
+        if S.shape != ours.shape:
+            raise ShapeError(f"snapshot S {S.shape} is not the session's {ours.shape}")
+        if S.dtype != ours.dtype:
+            raise DataError(f"snapshot dtype {S.dtype} is not the session's {ours.dtype}")
         self.state = state
-        self.frames_seen = extras.get("frames_seen", 0)
 
 
 # --- file formats -----------------------------------------------------------

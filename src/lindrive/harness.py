@@ -4,9 +4,10 @@ fusion with full-history attention.
 
 Benchmarks run single precision on one thread with fixed per-frame token
 counts, so the comparison isolates the attention mechanism. Trials run
-strictly sequentially; the median over trials after one warm-up is reported
-together with min and max. Workloads are seeded and deterministic: timings
-vary, computed outputs do not.
+strictly sequentially, one round over every frame count at a time; the
+median over trials after one warm-up is reported together with min and
+max. Workloads are seeded and deterministic: timings vary, computed outputs
+do not.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import csv
 import os
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -193,7 +194,7 @@ class BenchRecord:
     latency_max_ms: float = 0.0
 
 
-BENCH_HEADER = ["frames", "mode", "latency_ms", "state_bytes", "wall_ms"]
+BENCH_HEADER = [f.name for f in fields(BenchRecord)]
 
 # below ~50 timer ticks per frame the per-frame median is noise
 _MIN_RELIABLE_S = 50 * 1e-7
@@ -248,46 +249,44 @@ def run_scaling_bench(
 ) -> list[BenchRecord]:
     """Median per-frame latency and persistent state bytes per (T, mode).
 
-    One warm-up trial per point is excluded from the statistics. When frames
-    finish faster than the timer can resolve, the trial count is doubled and
-    a measurement warning is emitted.
+    Every point is warmed up once, outside the statistics; then each round
+    runs one trial of every point in turn, so a slow spell of the machine
+    spreads over all frame counts instead of landing on one. When a point's
+    frames finish faster than the timer can resolve, its trial count is
+    doubled and a measurement warning is emitted.
     """
     cfg = cfg or BenchConfig()
-    trials = trials if trials is not None else cfg.trials
-    records = []
-    for mode in modes:
-        if mode not in _STREAMS:
-            raise ConfigError(f"unknown bench mode {mode!r}")
-        stream = _STREAMS[mode]
-        for T in frames_grid:
-            stream(T, cfg)  # warm-up, excluded
-            n_trials = trials
-            per_frame_med, walls, state_bytes = [], [], 0
-            first = stream(T, cfg)
-            if first[0] and np.median(first[0]) < _MIN_RELIABLE_S:
+    trials = max(1, trials if trials is not None else cfg.trials)
+    if not set(modes) <= _STREAMS.keys():
+        raise ConfigError(f"unknown bench mode in {modes!r}; known: {sorted(_STREAMS)}")
+    points = [(mode, T) for mode in modes for T in frames_grid]
+    for mode, T in points:
+        _STREAMS[mode](T, cfg)  # warm-up, excluded
+    n_trials = [trials] * len(points)
+    samples = [[] for _ in points]
+    for rnd in range(2 * trials):
+        for i, (mode, T) in enumerate(points):
+            if rnd >= n_trials[i]:
+                continue
+            per_frame, nbytes, _ = _STREAMS[mode](T, cfg)
+            if rnd == 0 and per_frame and np.median(per_frame) < _MIN_RELIABLE_S:
                 warnings.warn(
-                    f"per-frame time below timer resolution at T={T}; "
-                    "doubling trials",
+                    f"per-frame time below timer resolution at T={T}; doubling trials",
                     stacklevel=2,
                 )
-                n_trials = 2 * trials
-            samples = [first] + [stream(T, cfg) for _ in range(n_trials - 1)]
-            for per_frame, nbytes, _ in samples:
-                skip = 1 if len(per_frame) > 1 else 0  # first frame warms caches
-                per_frame_med.append(float(np.median(per_frame[skip:])))
-                walls.append(float(np.sum(per_frame)))
-                state_bytes = nbytes
-            records.append(
-                BenchRecord(
-                    frames=T,
-                    mode=mode,
-                    latency_ms=1e3 * float(np.median(per_frame_med)),
-                    state_bytes=state_bytes,
-                    wall_ms=1e3 * float(np.median(walls)),
-                    latency_min_ms=1e3 * float(np.min(per_frame_med)),
-                    latency_max_ms=1e3 * float(np.max(per_frame_med)),
-                )
+                n_trials[i] = 2 * trials
+            skip = 1 if len(per_frame) > 1 else 0  # first frame warms caches
+            samples[i].append(
+                (float(np.median(per_frame[skip:])), float(np.sum(per_frame)), nbytes)
             )
+    records = []
+    for (mode, T), runs in zip(points, samples):
+        medians, walls, nbytes = zip(*runs)
+        records.append(BenchRecord(
+            frames=T, mode=mode, latency_ms=1e3 * float(np.median(medians)),
+            state_bytes=nbytes[-1], wall_ms=1e3 * float(np.median(walls)),
+            latency_min_ms=1e3 * min(medians), latency_max_ms=1e3 * max(medians),
+        ))
     return records
 
 
@@ -296,7 +295,4 @@ def write_bench_csv(path, records: list[BenchRecord]) -> None:
         writer = csv.writer(fh)
         writer.writerow(BENCH_HEADER)
         for r in records:
-            writer.writerow(
-                [r.frames, r.mode, f"{r.latency_ms:.6f}", r.state_bytes, f"{r.wall_ms:.6f}"]
-            )
-
+            writer.writerow([f"{v:.6f}" if isinstance(v, float) else v for v in astuple(r)])

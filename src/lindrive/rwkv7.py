@@ -208,10 +208,9 @@ def random_block_params(
     h_ff: int | None = None,
     rank: int | None = None,
     dtype=np.float64,
-    scale: float = 1.0,
 ) -> RwkvBlockParams:
     """Seeded random parameters at sane magnitudes for tests and benchmarks,
-    drawn in field order; matrices are normal with std scale / sqrt(fan-in)."""
+    drawn in field order; matrices are normal with std 1 / sqrt(fan-in)."""
     if h_ff is None:
         h_ff = 4 * d
     if rank is None:
@@ -233,7 +232,8 @@ def random_block_params(
             return 0.0 + rng.standard_normal(d) * normal[name]
         if name.startswith("ln"):
             return np.ones(d) if name.endswith("_w") else np.zeros(d)
-        return rng.standard_normal(shape) * (scale / np.sqrt(shape[0]))
+        # times the reciprocal: a division would round differently
+        return rng.standard_normal(shape) * (1.0 / np.sqrt(shape[0]))
 
     params = RwkvBlockParams.from_tensors(d, n_heads, lambda name: draw(name).astype(dtype))
     params.validate()
@@ -266,12 +266,39 @@ class RecurrentState:
         )
 
     @property
-    def n_layers(self) -> int:
-        return self.S.shape[0]
-
-    @property
     def nbytes(self) -> int:
         return self.S.nbytes + self.shift_tm.nbytes + self.shift_cm.nbytes
+
+    def validate(self) -> None:
+        """Check that S is (layers, heads, hd, hd), both shift caches
+        (layers, heads * hd), all three one floating dtype, the values finite
+        and tokens_seen one integer >= 0."""
+        if self.S.ndim != 4:
+            raise ShapeError(f"S must be (layers, heads, hd, hd), got {self.S.shape}")
+        L, H, hd, _ = self.S.shape
+        _check_layout(self, L, H, hd, self.S.dtype)
+        if not np.issubdtype(self.S.dtype, np.floating):
+            raise DataError(f"state arrays must be floating point, got {self.S.dtype}")
+        if not all(np.isfinite(a).all() for a in (self.S, self.shift_tm, self.shift_cm)):
+            raise DataError("state holds non-finite values")
+        if not isinstance(self.tokens_seen, (int, np.integer)) or self.tokens_seen < 0:
+            raise DataError(f"tokens_seen must be one integer >= 0, got {self.tokens_seen!r}")
+
+
+def _check_layout(state: RecurrentState, L: int, H: int, hd: int, dtype) -> None:
+    """ShapeError unless S is (L, H, hd, hd) and both shift caches (L, H * hd),
+    DataError unless all three are `dtype`."""
+    S, tm, cm = state.S, state.shift_tm, state.shift_cm
+    if S.shape != (L, H, hd, hd) or tm.shape != (L, H * hd) or cm.shape != tm.shape:
+        raise ShapeError(
+            f"state shapes (S, shift_tm, shift_cm) {S.shape}, {tm.shape}, {cm.shape} "
+            f"do not fit {L} layers of {H} heads of width {hd}"
+        )
+    if S.dtype != dtype or tm.dtype != dtype or cm.dtype != dtype:
+        raise DataError(
+            f"state dtypes (S, shift_tm, shift_cm) {S.dtype}, {tm.dtype}, {cm.dtype} "
+            f"are not {dtype}"
+        )
 
 
 @dataclass
@@ -539,8 +566,7 @@ def _block_tile(
     if not finite.all():
         raise NumericError(f"non-finite element in token {first + int(finite.argmin())}")
     y, state.S[layer] = recur(state.S[layer], e, _split_heads(e.r, params.n_heads))
-    # the readout is finished in the token dtype
-    x = tokens + time_mix_output(e, y.astype(tokens.dtype, copy=False), params)
+    x = tokens + time_mix_output(e, y, params)
     xn2 = layer_norm(x, params.ln2_w, params.ln2_b)
     return x + channel_mix(xn2, params, state, layer), e.v0
 
@@ -552,6 +578,19 @@ def _token_rows(tokens, d: int):
         tokens = tokens.reshape(0, d)
     if tokens.ndim != 2 or tokens.shape[1] != d:
         raise ShapeError(f"tokens must be (T, {d}), got {tokens.shape}")
+    return tokens
+
+
+def _check_stream(tokens, blocks: list[RwkvBlockParams], state: RecurrentState):
+    """`tokens` as (T, d) rows, once they and `state` fit every block of the
+    stack (one state layer per block, with the block's width, heads and
+    dtype): ShapeError for a width, head or layer count, DataError for a
+    dtype. Nothing has run yet, so a rejected call leaves `state` unchanged."""
+    tokens = _token_rows(tokens, blocks[0].d)
+    for p in blocks:
+        if tokens.dtype != p.dtype:
+            raise DataError(f"tokens are {tokens.dtype}, not the block's {p.dtype}")
+        _check_layout(state, len(blocks), p.n_heads, p.d // p.n_heads, p.dtype)
     return tokens
 
 
@@ -600,14 +639,15 @@ def block_branch(tokens, params: RwkvBlockParams, state: RecurrentState):
     Row i comes out as block_forward's last output over [the tokens `state`
     has seen; tokens[i]], so rows are independent of each other: permuting
     them permutes the outputs. All rows run batched, with no chunk solve
-    (branch_readouts). A NumericError names the row.
+    (branch_readouts). `tokens` and `state` are checked as forward_stack
+    checks a one-block stack. A NumericError names the row.
     """
-    tokens = _token_rows(tokens, params.d)
+    tokens = _check_stream(tokens, [params], state)
     try:
         xn = layer_norm(tokens, params.ln1_w, params.ln1_b)
         e = _compute_elements(xn, state.shift_tm[0], params, 0, None)
         y = branch_readouts(state.S[0], e, _split_heads(e.r, params.n_heads))
-        x = tokens + time_mix_output(e, y.astype(tokens.dtype, copy=False), params)
+        x = tokens + time_mix_output(e, y, params)
         xn2 = layer_norm(x, params.ln2_w, params.ln2_b)
         return x + _ffn(xn2, state.shift_cm[0], params)
     except NumericError as err:
@@ -631,12 +671,9 @@ def forward_stack(
     mode: str = "sequential",
 ):
     """Run a stack of blocks, threading the layer-0 value residual through
-    and adding the consumed tokens to `state.tokens_seen`."""
-    if state.n_layers < len(blocks):
-        raise ConfigError(
-            f"state has {state.n_layers} layers, stack needs {len(blocks)}"
-        )
-    x = np.asarray(tokens)
+    and adding the consumed tokens to `state.tokens_seen`. Before any layer
+    runs, `tokens` and `state` are checked against every block."""
+    x = _check_stream(tokens, blocks, state)
     v0_seq = None
     for layer, params in enumerate(blocks):
         x, v0 = block_apply(x, params, state, layer, v0_seq, mode)

@@ -5,7 +5,7 @@ Parameters serialize to a flat tensor container with named entries
 nested lists that records each entry's dtype. The entries are
 RwkvBlockParams.tensors() plus ``d`` and ``n_heads``. State snapshots are
 ``.npz`` only so that resuming a stream is bit-exact. Loaders validate every
-shape and the dtype before returning an object.
+shape, the dtype and finite values before returning an object.
 """
 
 from __future__ import annotations
@@ -92,35 +92,25 @@ def _json_entry(name: str, entry) -> np.ndarray:
     return arr
 
 
-def save_state(path: str | Path, state: RecurrentState, **extra_counters) -> None:
+def save_state(path: str | Path, state: RecurrentState) -> None:
     """Serialize a stream state, one entry per RecurrentState field;
-    round-trips bit-exactly.
-
-    Extra integer counters (e.g. a fusion session's frame count) are stored
-    alongside and returned by load_state.
-    """
+    round-trips bit-exactly."""
     entries = {f.name: getattr(state, f.name) for f in fields(RecurrentState)}
     entries["tokens_seen"] = np.asarray(state.tokens_seen, dtype=np.int64)
-    np.savez(
-        Path(path),
-        **entries,
-        **{k: np.asarray(v, dtype=np.int64) for k, v in extra_counters.items()},
-    )
+    np.savez(Path(path), **entries)
 
 
-def load_state(path: str | Path) -> tuple[RecurrentState, dict[str, int]]:
+def load_state(path: str | Path) -> RecurrentState:
+    """Read a state written by save_state and validate it. Entries that are
+    not RecurrentState fields, such as the frame count older snapshots
+    carry, are ignored."""
     names = [f.name for f in fields(RecurrentState)]
     with np.load(Path(path)) as data:
         for key in names:
             if key not in data:
                 raise ShapeError(f"state snapshot missing entry {key!r}")
         state = RecurrentState(**{k: data[k] for k in names})
-        extras = {k: int(data[k]) for k in data.files if k not in names}
+    state.tokens_seen = state.tokens_seen[()]  # a 0-d counter as a numpy scalar
+    state.validate()
     state.tokens_seen = int(state.tokens_seen)
-    S, shift_tm = state.S, state.shift_tm
-    if S.ndim != 4 or shift_tm.shape != state.shift_cm.shape:
-        raise ShapeError("state snapshot arrays have inconsistent shapes")
-    n_layers, n_heads, hd, hd2 = S.shape
-    if hd != hd2 or shift_tm.shape != (n_layers, n_heads * hd):
-        raise ShapeError("state snapshot arrays have inconsistent shapes")
-    return state, extras
+    return state

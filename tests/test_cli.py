@@ -63,7 +63,10 @@ class TestBench:
         assert code == 0
         with open(out_path) as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == ["frames", "mode", "latency_ms", "state_bytes", "wall_ms"]
+        assert rows[0] == [
+            "frames", "mode", "latency_ms", "state_bytes", "wall_ms",
+            "latency_min_ms", "latency_max_ms",
+        ]
         assert [r[0] for r in rows[1:]] == ["1", "2"]
 
     def test_bad_grid_rejected(self, tmp_path, capsys):

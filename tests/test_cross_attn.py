@@ -180,6 +180,14 @@ class TestCrossAttend:
         with pytest.raises(DataError):
             cross_attend(features, QuerySet(q_enc.tokens.astype(np.float64)), p)
 
+    def test_feature_state_of_other_dtype_raises(self):
+        # a float64 feature state would turn a float32 read into float64
+        p = random_block_params(8, seed=37, dtype=np.float32)
+        q_enc = make_queries(2, 8, seed=38, dtype=np.float32)
+        state = RecurrentState.zeros(8, 1)
+        with pytest.raises(DataError):
+            read_state(state, q_enc, p)
+
     def test_non_finite_names_layer_and_position(self):
         p = random_block_params(8, seed=39)
         features = np.random.default_rng(40).standard_normal((6, 8))

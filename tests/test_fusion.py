@@ -270,6 +270,38 @@ class TestSessionAndFiles:
             out_b = b.step(f)
             np.testing.assert_array_equal(out_a, out_b)
 
+    def test_frames_counted_from_token_counter(self):
+        # the state's token counter is the session's only counter
+        params = random_fusion_params(8, 1, 1, 8, seed=19)
+        session = FusionSession(params)
+        for f in frames_fixture(3, seed=20):
+            session.step(f)
+        assert session.frames_seen == 3 and session.state.tokens_seen == 24
+        session.state.tokens_seen = 40
+        assert session.frames_seen == 5
+
+    def test_older_snapshot_with_frame_entry_resumes_bit_exact(self, tmp_path):
+        # the layout save_state wrote while sessions kept their own frame
+        # counter: the state fields, then an int64 frames_seen entry
+        params = random_fusion_params(8, 2, 1, 8, seed=19)
+        frames = frames_fixture(6, seed=20)
+        a = FusionSession(params)
+        for f in frames[:4]:
+            a.step(f)
+        path = tmp_path / "older.npz"
+        np.savez(
+            path, S=a.state.S, shift_tm=a.state.shift_tm, shift_cm=a.state.shift_cm,
+            tokens_seen=np.asarray(a.state.tokens_seen, dtype=np.int64),
+            frames_seen=np.asarray(4, dtype=np.int64),
+        )
+        b = FusionSession(params)
+        b.restore(path)
+        assert b.frames_seen == 4 and b.state.tokens_seen == a.state.tokens_seen
+        for field in ("S", "shift_tm", "shift_cm"):
+            np.testing.assert_array_equal(getattr(b.state, field), getattr(a.state, field))
+        for f in frames[4:]:
+            np.testing.assert_array_equal(b.step(f), a.step(f))
+
     def streamed_session(self, dtype=np.float64):
         params = random_fusion_params(16, 2, 2, 8, seed=22, dtype=dtype)
         session = FusionSession(params)
@@ -297,6 +329,13 @@ class TestSessionAndFiles:
         session = self.streamed_session()
         save_state(tmp_path / "d32.npz", RecurrentState.zeros(32, 2, 2))
         self.assert_restore_rejected(session, tmp_path / "d32.npz", ShapeError)
+
+    def test_restore_rejects_mixed_dtype(self, tmp_path):
+        session = self.streamed_session(np.float32)
+        bad = copy.deepcopy(session.state)
+        bad.shift_cm = bad.shift_cm.astype(np.float64)
+        save_state(tmp_path / "mixed.npz", bad)
+        self.assert_restore_rejected(session, tmp_path / "mixed.npz", DataError)
 
     def test_restore_rejects_non_finite(self, tmp_path):
         session = self.streamed_session()

@@ -114,6 +114,34 @@ class TestScalingBench:
         assert len(rows) == 5
         for row in rows[1:]:
             assert float(row[2]) > 0 and int(row[3]) > 0
+            # the spread is kept: min <= median <= max per-frame latency
+            assert float(row[5]) <= float(row[2]) <= float(row[6])
+
+    def fake_stream(self, monkeypatch, per_frame_s):
+        calls = []
+
+        def stream(T, cfg):
+            calls.append(T)
+            return [per_frame_s(T)] * T, 8 * T, None
+
+        monkeypatch.setitem(harness._STREAMS, "linear", stream)
+        return calls
+
+    def test_trials_interleave_frame_counts(self, monkeypatch):
+        # each T is warmed up once, then every round runs one trial of every
+        # T, so one slow spell of the machine cannot land on one T only
+        calls = self.fake_stream(monkeypatch, lambda T: 1e-3)
+        records = run_scaling_bench([8, 64], trials=3, modes=("linear",))
+        assert calls == [8, 64] * 4
+        assert [(r.frames, r.latency_ms, r.state_bytes) for r in records] == [
+            (8, 1.0, 64), (64, 1.0, 512),
+        ]
+
+    def test_unresolved_point_doubles_its_trials(self, monkeypatch):
+        calls = self.fake_stream(monkeypatch, lambda T: 1e-9 if T == 8 else 1e-3)
+        with pytest.warns(UserWarning, match="T=8"):
+            run_scaling_bench([8, 64], trials=2, modes=("linear",))
+        assert calls == [8, 64, 8, 64, 8, 64, 8, 8]
 
     def test_linear_state_bytes_constant_in_t(self):
         cfg = BenchConfig(d=16, l_camera=4, l_lidar=4, n_layers=1, trials=1)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from lindrive import rwkv7
-from lindrive.errors import ConfigError, ContractError, NumericError, ShapeError
+from lindrive.errors import ConfigError, ContractError, DataError, NumericError, ShapeError
 from lindrive.rwkv7 import (
     ElementSet,
     RecurrentState,
@@ -691,6 +691,116 @@ class TestBlockBranch:
             step = ElementSet(**{f: getattr(e, f)[i] for f in e.__dataclass_fields__})
             S_i = state_step(S, step)
             np.testing.assert_allclose(y[i], np.einsum("hvk,hk->hv", S_i, r_heads[i]), atol=1e-12)
+
+
+class TestStreamContract:
+    """forward_stack and block_branch check the tokens and the state against
+    every block before any layer runs; RecurrentState.validate checks a state
+    on its own."""
+
+    def stack(self, dtype=np.float64, n_layers=2):
+        return [
+            random_block_params(8, n_heads=2, seed=90 + i, dtype=dtype) for i in range(n_layers)
+        ]
+
+    def tokens(self, dtype=np.float64):
+        return np.random.default_rng(95).standard_normal((5, 8)).astype(dtype)
+
+    def assert_rejected_unchanged(self, blocks, state, error, tokens=None):
+        before = copy.deepcopy(state)
+        with pytest.raises(error):
+            forward_stack(self.tokens() if tokens is None else tokens, blocks, state, "chunked")
+        for field in ("S", "shift_tm", "shift_cm"):
+            np.testing.assert_array_equal(getattr(state, field), getattr(before, field))
+            assert getattr(state, field).dtype == getattr(before, field).dtype
+        assert state.tokens_seen == before.tokens_seen
+
+    def test_state_of_other_width_rejected(self):
+        self.assert_rejected_unchanged(
+            self.stack(), RecurrentState.zeros(16, 2, n_layers=2), ShapeError
+        )
+
+    def test_state_of_other_head_count_rejected(self):
+        self.assert_rejected_unchanged(
+            self.stack(), RecurrentState.zeros(8, 4, n_layers=2), ShapeError
+        )
+
+    @pytest.mark.parametrize("n_layers", [1, 3])
+    def test_state_of_other_layer_count_rejected(self, n_layers):
+        self.assert_rejected_unchanged(
+            self.stack(), RecurrentState.zeros(8, 2, n_layers=n_layers), ShapeError
+        )
+
+    def test_tokens_of_other_width_rejected(self):
+        self.assert_rejected_unchanged(
+            self.stack(), RecurrentState.zeros(8, 2, n_layers=2), ShapeError,
+            tokens=np.zeros((5, 6)),
+        )
+
+    def test_deeper_block_with_other_heads_rejected_before_layer_0(self):
+        # layer 1 does not fit the state; layer 0 must not have run either
+        blocks = [random_block_params(8, n_heads=2, seed=90),
+                  random_block_params(8, n_heads=4, seed=91)]
+        self.assert_rejected_unchanged(blocks, RecurrentState.zeros(8, 2, n_layers=2), ShapeError)
+
+    def test_float32_state_under_float64_blocks_rejected(self):
+        # would truncate every update of S to float32
+        self.assert_rejected_unchanged(
+            self.stack(), RecurrentState.zeros(8, 2, n_layers=2, dtype=np.float32), DataError
+        )
+
+    def test_default_float64_state_under_float32_blocks_rejected(self):
+        # would run a mixed-precision stream
+        self.assert_rejected_unchanged(
+            self.stack(np.float32), RecurrentState.zeros(8, 2, n_layers=2), DataError,
+            tokens=self.tokens(np.float32),
+        )
+
+    def test_tokens_of_other_dtype_rejected(self):
+        state = RecurrentState.zeros(8, 2, n_layers=2, dtype=np.float32)
+        self.assert_rejected_unchanged(self.stack(np.float32), state, DataError)
+
+    def test_one_shift_cache_of_other_dtype_rejected(self):
+        state = RecurrentState.zeros(8, 2, n_layers=2)
+        state.shift_cm = state.shift_cm.astype(np.float32)
+        self.assert_rejected_unchanged(self.stack(), state, DataError)
+
+    def test_block_branch_checks_layer_0(self):
+        p = random_block_params(8, n_heads=2, seed=96, dtype=np.float32)
+        rows = self.tokens(np.float32)
+        with pytest.raises(ShapeError):
+            block_branch(rows, p, RecurrentState.zeros(8, 4, dtype=np.float32))
+        with pytest.raises(DataError):
+            block_branch(rows, p, RecurrentState.zeros(8, 2))
+        with pytest.raises(DataError):
+            block_branch(rows.astype(np.float64), p, RecurrentState.zeros(8, 2, dtype=np.float32))
+
+    def test_fresh_state_validates(self):
+        for dtype in (np.float32, np.float64):
+            RecurrentState.zeros(8, 2, n_layers=3, dtype=dtype).validate()
+
+    @pytest.mark.parametrize(
+        "edit, error",
+        [
+            (lambda s: setattr(s, "S", s.S[0]), ShapeError),
+            (lambda s: setattr(s, "S", s.S[..., :3]), ShapeError),
+            (lambda s: setattr(s, "shift_tm", s.shift_tm[:, :4]), ShapeError),
+            (lambda s: setattr(s, "shift_cm", s.shift_cm[:1]), ShapeError),
+            (lambda s: setattr(s, "shift_cm", s.shift_cm.astype(np.float32)), DataError),
+            (lambda s: [setattr(s, f, getattr(s, f).astype(np.int64))
+                        for f in ("S", "shift_tm", "shift_cm")], DataError),
+            (lambda s: s.S.__setitem__((1, 0, 2, 3), np.nan), DataError),
+            (lambda s: s.shift_tm.__setitem__((0, 5), np.inf), DataError),
+            (lambda s: setattr(s, "tokens_seen", -5), DataError),
+        ],
+        ids=["S-3d", "S-not-square", "shift_tm-width", "shift_cm-layers",
+             "mixed-dtype", "int64", "nan-S", "inf-shift", "negative-count"],
+    )
+    def test_validate_rejects(self, edit, error):
+        state = RecurrentState.zeros(8, 2, n_layers=2)
+        edit(state)
+        with pytest.raises(error):
+            state.validate()
 
 
 class TestNumericErrorContext:

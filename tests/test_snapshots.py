@@ -176,13 +176,12 @@ class TestStateSnapshots:
         rng = np.random.default_rng(7)
         block_forward(rng.standard_normal((9, 8)), p, state, mode="chunked")
         path = tmp_path / "state.npz"
-        snapshots.save_state(path, state, frames_seen=3)
-        loaded, extras = snapshots.load_state(path)
+        snapshots.save_state(path, state)
+        loaded = snapshots.load_state(path)
         np.testing.assert_array_equal(loaded.S, state.S)
         np.testing.assert_array_equal(loaded.shift_tm, state.shift_tm)
         np.testing.assert_array_equal(loaded.shift_cm, state.shift_cm)
         assert loaded.tokens_seen == 9
-        assert extras == {"frames_seen": 3}
 
     def test_resume_equals_uninterrupted(self, tmp_path):
         p = random_block_params(8, seed=8)
@@ -194,7 +193,7 @@ class TestStateSnapshots:
         mid = RecurrentState.zeros(8, 1)
         block_forward(tokens[:6], p, mid, mode="chunked")
         snapshots.save_state(tmp_path / "mid.npz", mid)
-        resumed, _ = snapshots.load_state(tmp_path / "mid.npz")
+        resumed = snapshots.load_state(tmp_path / "mid.npz")
         out_tail, _ = block_forward(tokens[6:], p, resumed, mode="chunked")
         # the snapshot loses nothing: identical to resuming in memory
         out_mem, _ = block_forward(tokens[6:], p, mid, mode="chunked")
@@ -204,10 +203,45 @@ class TestStateSnapshots:
 
     def test_entries_are_state_fields(self, tmp_path):
         path = tmp_path / "state.npz"
-        snapshots.save_state(path, RecurrentState.zeros(8, 2), frames_seen=1)
+        snapshots.save_state(path, RecurrentState.zeros(8, 2))
         with np.load(path) as data:
-            assert data.files == ["S", "shift_tm", "shift_cm", "tokens_seen", "frames_seen"]
+            assert data.files == ["S", "shift_tm", "shift_cm", "tokens_seen"]
             assert data["tokens_seen"].dtype == np.int64
+
+    def write(self, path, **edits):
+        """A snapshot in save_state's layout, some entries replaced."""
+        state = RecurrentState.zeros(8, 2, n_layers=2)
+        entries = {"S": state.S, "shift_tm": state.shift_tm, "shift_cm": state.shift_cm,
+                   "tokens_seen": np.asarray(16, dtype=np.int64)}
+        np.savez(path, **{**entries, **edits})
+        return path
+
+    @pytest.mark.parametrize(
+        "edits, error",
+        [
+            ({"S": np.full((2, 2, 4, 4), np.nan)}, DataError),
+            ({"shift_cm": np.zeros((2, 8), dtype=np.float32)}, DataError),
+            ({"S": np.zeros((2, 2, 4, 4), dtype=np.int64),
+              "shift_tm": np.zeros((2, 8), dtype=np.int64),
+              "shift_cm": np.zeros((2, 8), dtype=np.int64)}, DataError),
+            ({"tokens_seen": np.asarray(-5, dtype=np.int64)}, DataError),
+            ({"tokens_seen": np.asarray([8, 8], dtype=np.int64)}, DataError),
+            ({"tokens_seen": np.asarray(2.7)}, DataError),
+            ({"shift_tm": np.zeros((2, 6))}, ShapeError),
+            ({"S": np.zeros((2, 2, 4, 3))}, ShapeError),
+        ],
+        ids=["nan-S", "mixed-dtype", "int64", "negative-count", "counter-(2,)",
+             "float-counter", "shift_tm-width", "S-not-square"],
+    )
+    def test_invalid_state_rejected(self, tmp_path, edits, error):
+        with pytest.raises(error):
+            snapshots.load_state(self.write(tmp_path / "bad.npz", **edits))
+
+    def test_unknown_entries_ignored(self, tmp_path):
+        # older snapshots carry a frames_seen entry; it is not a state field
+        path = self.write(tmp_path / "old.npz", frames_seen=np.asarray(2, dtype=np.int64))
+        state = snapshots.load_state(path)
+        assert state.tokens_seen == 16 and not hasattr(state, "frames_seen")
 
     def test_corrupt_snapshot_rejected(self, tmp_path):
         path = tmp_path / "bad.npz"
