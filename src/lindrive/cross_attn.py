@@ -2,13 +2,15 @@
 
 M query tokens attend to L feature tokens at cost linear in L + M, in two
 steps. feature_state reads the features into a fresh recurrent state of the
-mixing block with one chunk-parallel pass (rwkv7.chunk_readouts); read_state
-then runs every query through the mixer as its own single next token after
-that state (rwkv7.block_branch). The queries are independent: query i sees
-the features and itself, never another query, so permuting the queries
-permutes the outputs, and one feature state serves any number of reads.
+mixing block with one chunk-parallel pass (rwkv7.chunk_readouts), computing
+only the state: the mixer's outputs over the features are never read, so
+its feed-forward does not run on them (rwkv7.block_absorb). read_state then
+runs every query through the mixer as its own single next token after that
+state (rwkv7.block_branch). The queries are independent: query i sees the
+features and itself, never another query, so permuting the queries permutes
+the outputs, and one feature state serves any number of reads.
 encode_query is the same branch step of the encoder block from a zero
-state. No attention matrix exists.
+state, which it neither allocates nor reads. No attention matrix exists.
 
 Every step runs in the dtype of its block's parameters; features or
 queries in another dtype raise DataError. Each call starts from a fresh
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .rwkv7 import RecurrentState, RwkvBlockParams, block_branch, block_forward
+from .rwkv7 import RecurrentState, RwkvBlockParams, block_absorb, block_branch
 
 
 @dataclass
@@ -62,15 +64,15 @@ def encode_query(
     enc_params: RwkvBlockParams,
 ) -> QuerySet:
     """Encode every query on its own with one block, from a zero state."""
-    state = RecurrentState.zeros(enc_params.d, enc_params.n_heads, dtype=enc_params.dtype)
-    return QuerySet(block_branch(q.tokens, enc_params, state))
+    return QuerySet(block_branch(q.tokens, enc_params))
 
 
 def feature_state(features, mixer: RwkvBlockParams) -> RecurrentState:
     """Read the feature tokens into a fresh state of the mixing block: one
-    chunk-parallel pass, cost linear in L."""
+    chunk-parallel pass, cost linear in L. The state equals the one the
+    mixer's chunked block_forward leaves, bit for bit."""
     state = RecurrentState.zeros(mixer.d, mixer.n_heads, dtype=mixer.dtype)
-    block_forward(features, mixer, state, "chunked")
+    block_absorb(features, mixer, state)
     return state
 
 

@@ -333,14 +333,16 @@ def _normalize_removal(k_removal_heads):
     return k_removal_heads / norm, norm
 
 
-def _compute_elements(x, x_prev, params: RwkvBlockParams, layer: int, v0):
+def _compute_elements(x, x_prev, params: RwkvBlockParams, layer: int, v0, state_terms=True):
     """Element equations for a batch of rows; x is (T, d), x_prev (T, d) or
     one (d,) row shared by every token. One lerp over the stacked mix
-    vectors gives all six token-shifted inputs."""
+    vectors gives all six token-shifted inputs. With state_terms False the
+    decay w and the removal key, which act only on an earlier state, are
+    left None."""
     mu = np.array([params.mu_r, params.mu_w, params.mu_k, params.mu_v, params.mu_a, params.mu_g])
     xr, xw, xk, xv, xa, xg = lerp(x, x_prev, mu[:, None])
     lw, la, lv, lg = params.lora_w, params.lora_a, params.lora_v, params.lora_g
-    w = np.exp(-DECAY_GAIN * sigmoid(np.tanh(xw @ lw.A) @ lw.B + lw.bias))
+    w = np.exp(-DECAY_GAIN * sigmoid(np.tanh(xw @ lw.A) @ lw.B + lw.bias)) if state_terms else None
     k = xk @ params.W_k
     a = sigmoid(xa @ la.A @ la.B + la.bias)
     v = xv @ params.W_v
@@ -353,7 +355,7 @@ def _compute_elements(x, x_prev, params: RwkvBlockParams, layer: int, v0):
     return ElementSet(
         r=xr @ params.W_r,
         w=w,
-        k_removal=k * params.k_k,
+        k_removal=k * params.k_k if state_terms else None,
         k_replace=k * (1.0 + (a - 1.0) * params.k_a),
         v=v,
         a=a,
@@ -493,18 +495,19 @@ def branch_readouts(S, e: ElementSet, r_heads):
 
     `r_heads` is (M, n_heads, head_dim) and y is shaped like it. Expanding
     state_step gives y_i = S (w_i * r_i) - (S khat_i)(a_i khat_i . r_i)
-    + v_i (k_replace_i . r_i), so no S_i is ever built.
+    + v_i (k_replace_i . r_i), so no S_i is ever built. S None stands for a
+    zero state, which leaves the last term alone: no state is read.
     """
-    w, a, v, k_rep, khat = _head_operands(e, S.shape[0])
+    H = r_heads.shape[1]
+    y = _split_heads(e.v, H) * np.sum(_split_heads(e.k_replace, H) * r_heads, axis=-1, keepdims=True)
+    if S is None:
+        return y
+    w, a, _, _, khat = _head_operands(e, H)
 
     def read(q):  # S q_i^T for every row: (H, V, K) @ (H, K, M) -> (M, H, V)
         return (S @ q.transpose(1, 2, 0)).transpose(2, 0, 1)
 
-    return (
-        read(w * r_heads)
-        - read(khat) * np.sum(a * khat * r_heads, axis=-1, keepdims=True)
-        + v * np.sum(k_rep * r_heads, axis=-1, keepdims=True)
-    )
+    return read(w * r_heads) - read(khat) * np.sum(a * khat * r_heads, axis=-1, keepdims=True) + y
 
 
 def time_mix_output(e: ElementSet, y, params: RwkvBlockParams):
@@ -555,9 +558,15 @@ def _block_tile(
     v0_seq,
     recur,
     first: int,
+    outputs: bool = True,
 ):
     """One tile of a block: project, recur, read out, mix. A non-finite
-    element is named by its token, `first` being the tile's first."""
+    element is named by its token, `first` being the tile's first.
+
+    With outputs False the tile only advances `state`: the channel-mix
+    shift cache takes the last normed row, the feed-forward never runs and
+    (None, None) comes back. The time-mix output still runs over every row:
+    run for the last row alone, its matmuls round differently."""
     xn = layer_norm(tokens, params.ln1_w, params.ln1_b)
     e = project_elements_seq(xn, params, state, layer, v0_seq)
     finite = np.isfinite(
@@ -568,7 +577,31 @@ def _block_tile(
     y, state.S[layer] = recur(state.S[layer], e, _split_heads(e.r, params.n_heads))
     x = tokens + time_mix_output(e, y, params)
     xn2 = layer_norm(x, params.ln2_w, params.ln2_b)
+    if not outputs:
+        state.shift_cm[layer] = xn2[-1]
+        return None, None
     return x + channel_mix(xn2, params, state, layer), e.v0
+
+
+def _run_tiles(tokens, params, state, layer, v0_seq, recur, outputs: bool = True):
+    """_block_tile over the 512-token tiles of `tokens`; returns (outputs,
+    v0_seq), both None when `outputs` is False. A NumericError names the
+    layer and the tile's token range."""
+    # outer tiles bound the working set so long sequences stay cache
+    # resident; the recurrence semantics are tile-invariant because all
+    # cross-token memory lives in `state`
+    out = np.empty_like(tokens) if outputs else None
+    v0_out = np.empty_like(tokens) if outputs else None
+    for lo in range(0, tokens.shape[0], _CHUNK_TILE):
+        hi = min(lo + _CHUNK_TILE, tokens.shape[0])
+        v0_tile = None if v0_seq is None else v0_seq[lo:hi]
+        try:
+            x, v0 = _block_tile(tokens[lo:hi], params, state, layer, v0_tile, recur, lo, outputs)
+        except NumericError as err:
+            raise NumericError(f"layer {layer}, tokens {lo}..{hi - 1}: {err}") from err
+        if outputs:
+            out[lo:hi], v0_out[lo:hi] = x, v0
+    return out, v0_out
 
 
 def _token_rows(tokens, d: int):
@@ -581,17 +614,32 @@ def _token_rows(tokens, d: int):
     return tokens
 
 
-def _check_stream(tokens, blocks: list[RwkvBlockParams], state: RecurrentState):
+def _check_stream(tokens, blocks: list[RwkvBlockParams], state: RecurrentState | None):
     """`tokens` as (T, d) rows, once they and `state` fit every block of the
     stack (one state layer per block, with the block's width, heads and
-    dtype): ShapeError for a width, head or layer count, DataError for a
-    dtype. Nothing has run yet, so a rejected call leaves `state` unchanged."""
+    dtype): ConfigError for an empty stack, ShapeError for a width, head or
+    layer count, DataError for a dtype. A None state stands for a fresh one
+    and fits any stack. Nothing has run yet, so a rejected call leaves
+    `state` unchanged."""
+    if not blocks:
+        raise ConfigError("a stack needs at least one block")
     tokens = _token_rows(tokens, blocks[0].d)
     for p in blocks:
         if tokens.dtype != p.dtype:
             raise DataError(f"tokens are {tokens.dtype}, not the block's {p.dtype}")
-        _check_layout(state, len(blocks), p.n_heads, p.d // p.n_heads, p.dtype)
+        if state is not None:
+            _check_layout(state, len(blocks), p.n_heads, p.d // p.n_heads, p.dtype)
     return tokens
+
+
+def _layer_view(state: RecurrentState, layer: int) -> RecurrentState:
+    """Layer `layer` of `state` as a one-layer state sharing its arrays;
+    ShapeError if `state` has no such layer."""
+    n_layers = state.S.shape[0] if state.S.ndim == 4 else 0
+    if not 0 <= layer < n_layers:
+        raise ShapeError(f"layer {layer} is not one of the state's {n_layers} layers")
+    at = slice(layer, layer + 1)
+    return RecurrentState(state.S[at], state.shift_tm[at], state.shift_cm[at], state.tokens_seen)
 
 
 def block_apply(
@@ -609,47 +657,56 @@ def block_apply(
     same final state and differ only in the recurrence: sequential steps
     state_step token by token, chunked runs chunk_readouts.
     `state.tokens_seen` is left to forward_stack, which counts a stack's
-    tokens once. A NumericError names the layer, the tile's token range and
-    a non-finite element's token, counting from 0 in `tokens`.
+    tokens once. The tokens and layer `layer` of `state` are checked against
+    the block first, as forward_stack checks a stack, so a rejected call
+    leaves `state` unchanged.
+    A NumericError names the layer, the tile's token range and a non-finite
+    element's token, counting from 0 in `tokens`.
     """
     if mode not in _RECURRENCES:
         raise ConfigError(f"unknown mode {mode!r}")
-    tokens = _token_rows(tokens, params.d)
-    # outer tiles bound the working set so long sequences stay cache
-    # resident; the recurrence semantics are tile-invariant because all
-    # cross-token memory lives in `state`
-    out = np.empty_like(tokens)
-    v0_out = np.empty_like(tokens)
-    for lo in range(0, tokens.shape[0], _CHUNK_TILE):
-        hi = min(lo + _CHUNK_TILE, tokens.shape[0])
-        v0_tile = None if v0_seq is None else v0_seq[lo:hi]
-        try:
-            out[lo:hi], v0_out[lo:hi] = _block_tile(
-                tokens[lo:hi], params, state, layer, v0_tile, _RECURRENCES[mode], lo
-            )
-        except NumericError as err:
-            raise NumericError(f"layer {layer}, tokens {lo}..{hi - 1}: {err}") from err
-    return out, v0_out
+    tokens = _check_stream(tokens, [params], _layer_view(state, layer))
+    return _run_tiles(tokens, params, state, layer, v0_seq, _RECURRENCES[mode])
 
 
-def block_branch(tokens, params: RwkvBlockParams, state: RecurrentState):
+def block_absorb(tokens, params: RwkvBlockParams, state: RecurrentState) -> None:
+    """Advance `state` (layer 0) over `tokens` without the block's outputs.
+
+    Leaves S, both shift caches and tokens_seen as block_forward(tokens,
+    params, state, "chunked") leaves them, bit for bit, but never runs the
+    channel-mix feed-forward, which feeds only the outputs. Checks and
+    NumericError messages are those of block_forward.
+    """
+    tokens = _check_stream(tokens, [params], state)
+    _run_tiles(tokens, params, state, 0, None, _RECURRENCES["chunked"], outputs=False)
+    state.tokens_seen += tokens.shape[0]
+
+
+def block_branch(tokens, params: RwkvBlockParams, state: RecurrentState | None = None):
     """Run every row of `tokens` through the block (layer 0 of `state`) as
     its own next token after `state`, leaving `state` untouched.
 
     Row i comes out as block_forward's last output over [the tokens `state`
     has seen; tokens[i]], so rows are independent of each other: permuting
     them permutes the outputs. All rows run batched, with no chunk solve
-    (branch_readouts). `tokens` and `state` are checked as forward_stack
-    checks a one-block stack. A NumericError names the row.
+    (branch_readouts). A None state stands for a fresh all-zero one, which
+    is neither allocated nor read, so neither the decay nor the removal key
+    is computed. `tokens` and `state` are checked as
+    forward_stack checks a one-block stack. A NumericError names the row.
     """
     tokens = _check_stream(tokens, [params], state)
+    if state is None:
+        zero = np.zeros(params.d, dtype=params.dtype)
+        S, shift_tm, shift_cm = None, zero, zero
+    else:
+        S, shift_tm, shift_cm = state.S[0], state.shift_tm[0], state.shift_cm[0]
     try:
         xn = layer_norm(tokens, params.ln1_w, params.ln1_b)
-        e = _compute_elements(xn, state.shift_tm[0], params, 0, None)
-        y = branch_readouts(state.S[0], e, _split_heads(e.r, params.n_heads))
+        e = _compute_elements(xn, shift_tm, params, 0, None, S is not None)
+        y = branch_readouts(S, e, _split_heads(e.r, params.n_heads))
         x = tokens + time_mix_output(e, y, params)
         xn2 = layer_norm(x, params.ln2_w, params.ln2_b)
-        return x + _ffn(xn2, state.shift_cm[0], params)
+        return x + _ffn(xn2, shift_cm, params)
     except NumericError as err:
         raise NumericError(f"layer 0, query branch: {err}") from err
 

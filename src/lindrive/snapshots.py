@@ -11,6 +11,7 @@ shape, the dtype and finite values before returning an object.
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import fields
 from pathlib import Path
 
@@ -68,8 +69,23 @@ def load_params(path: str | Path) -> RwkvBlockParams:
         if not isinstance(payload, dict):
             raise DataError("a JSON parameter file must hold an object of entries")
         return params_from_dict({name: _json_entry(name, e) for name, e in payload.items()})
-    with np.load(path) as data:
-        return params_from_dict(dict(data))
+    return params_from_dict(_npz_entries(path))
+
+
+def _npz_entries(path: Path) -> dict[str, np.ndarray]:
+    """Every entry of the .npz archive at `path`; DataError if the file is
+    not one. A missing file still raises FileNotFoundError."""
+    try:
+        data = np.load(path)
+    except (ValueError, EOFError, zipfile.BadZipFile) as err:
+        raise DataError(f"{path} is not an .npz archive ({err})") from None
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise DataError(f"{path} holds one .npy array, not an .npz archive")
+    with data:
+        try:
+            return dict(data)
+        except (ValueError, zipfile.BadZipFile) as err:  # object arrays, bad members
+            raise DataError(f"{path}: unreadable .npz entry ({err})") from None
 
 
 def _json_entry(name: str, entry) -> np.ndarray:
@@ -105,11 +121,11 @@ def load_state(path: str | Path) -> RecurrentState:
     not RecurrentState fields, such as the frame count older snapshots
     carry, are ignored."""
     names = [f.name for f in fields(RecurrentState)]
-    with np.load(Path(path)) as data:
-        for key in names:
-            if key not in data:
-                raise ShapeError(f"state snapshot missing entry {key!r}")
-        state = RecurrentState(**{k: data[k] for k in names})
+    data = _npz_entries(Path(path))
+    for key in names:
+        if key not in data:
+            raise ShapeError(f"state snapshot missing entry {key!r}")
+    state = RecurrentState(**{k: data[k] for k in names})
     state.tokens_seen = state.tokens_seen[()]  # a 0-d counter as a numpy scalar
     state.validate()
     state.tokens_seen = int(state.tokens_seen)

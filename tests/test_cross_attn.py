@@ -18,7 +18,7 @@ from lindrive.cross_attn import (
     read_state,
 )
 from lindrive.errors import DataError, NumericError, ShapeError
-from lindrive.rwkv7 import RecurrentState, block_forward, random_block_params
+from lindrive.rwkv7 import RecurrentState, block_branch, block_forward, random_block_params
 
 # per-query oracle bounds, by dtype
 ORACLE_TOL = {np.float64: 1e-10, np.float32: 1e-5}
@@ -77,6 +77,55 @@ class TestEncodeQuery:
         first = encode_query(q, p).tokens
         encode_query(make_queries(4, 8, seed=8), p)
         np.testing.assert_array_equal(encode_query(q, p).tokens, first)
+
+    @pytest.mark.parametrize("n_heads", [1, 4])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_equals_branch_from_explicit_zero_state(self, dtype, n_heads):
+        # the fresh-state encode reads no state; it must still equal the
+        # branch step against an all-zero one, bit for bit
+        p = random_block_params(16, n_heads=n_heads, seed=50, dtype=dtype)
+        q = make_queries(7, 16, seed=51, dtype=dtype)
+        zeros = RecurrentState.zeros(16, n_heads, dtype=dtype)
+        want = block_branch(q.tokens, p, zeros)
+        got = encode_query(q, p).tokens
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got, want)
+
+    def test_fresh_state_checks_tokens(self):
+        p = random_block_params(8, seed=52, dtype=np.float32)
+        with pytest.raises(ShapeError):
+            block_branch(np.zeros((3, 6), dtype=np.float32), p)
+        with pytest.raises(DataError):
+            block_branch(np.zeros((3, 8)), p)
+
+
+class TestFeatureState:
+    """feature_state computes only the state, which must equal the one the
+    mixer's full chunked block_forward leaves."""
+
+    @pytest.mark.parametrize("L", [1, 17, 600])
+    @pytest.mark.parametrize("n_heads", [1, 4])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_equals_full_block_forward(self, dtype, n_heads, L):
+        # 600 tokens cross the 512-token tile
+        p = random_block_params(16, n_heads=n_heads, seed=L, dtype=dtype)
+        features = np.random.default_rng(L + 1).standard_normal((L, 16)).astype(dtype)
+        want = RecurrentState.zeros(16, n_heads, dtype=dtype)
+        block_forward(features, p, want, "chunked")
+        got = feature_state(features, p)
+        for field in ("S", "shift_tm", "shift_cm"):
+            assert getattr(got, field).dtype == dtype
+            np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+        assert got.tokens_seen == want.tokens_seen == L
+
+    def test_non_finite_names_layer_tile_and_token(self):
+        p = random_block_params(8, seed=53)
+        features = np.random.default_rng(54).standard_normal((600, 8))
+        features[550, 3] = np.nan
+        with pytest.raises(
+            NumericError, match=r"^layer 0, tokens 512\.\.599: non-finite element in token 550$"
+        ):
+            feature_state(features, p)
 
 
 class TestCrossAttend:

@@ -307,6 +307,54 @@ class TestDecode:
         assert all(a is b for a, b in zip(reads, want))
 
 
+class TestAgentQueries:
+    """derive_agent_queries encodes the constant agent queries once per
+    params and re-encodes them only when they are reassigned."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_equals_attend(self, dtype):
+        params = random_decoder_params(16, n_heads=4, seed=60, dtype=dtype)
+        for seed in (61, 62):
+            b = make_bundle(d=16, seed=seed)
+            bundle = BevBundle(*(a.astype(dtype) for a in (b.bev_tokens, b.ego_token, b.pos_emb)))
+            want = attend(bundle.tokens(), QuerySet(params.agent_queries), params.agent_query_attn)
+            got = derive_agent_queries(bundle, params)
+            assert got.tokens.dtype == dtype
+            np.testing.assert_array_equal(got.tokens, want.tokens)
+
+    def test_encoded_once_until_reassigned(self, monkeypatch):
+        params = random_decoder_params(8, seed=63)
+        encodes = []
+        encode = decoder_module.encode_query
+
+        def spy(q, enc_params):
+            encodes.append(enc_params)
+            return encode(q, enc_params)
+
+        monkeypatch.setattr(decoder_module, "encode_query", spy)
+        bundles = [make_bundle(seed=s) for s in range(4)]
+        for b in bundles:
+            derive_agent_queries(b, params)
+        assert len(encodes) == 1
+
+        def check_fresh():
+            b = bundles[0]
+            want = attend(b.tokens(), QuerySet(params.agent_queries), params.agent_query_attn)
+            np.testing.assert_array_equal(derive_agent_queries(b, params).tokens, want.tokens)
+
+        params.agent_queries = params.agent_queries * 0.5
+        check_fresh()
+        assert len(encodes) == 2
+        params.agent_query_attn = random_decoder_params(8, seed=64).agent_query_attn
+        check_fresh()
+        assert len(encodes) == 3
+        params.agent_query_attn.encoder = random_decoder_params(8, seed=65).agent_query_attn.encoder
+        check_fresh()
+        assert len(encodes) == 4
+        derive_agent_queries(bundles[1], params)
+        assert len(encodes) == 4
+
+
 class TestDecoderParams:
     def test_float32_params_are_float32(self):
         def arrays(obj):

@@ -12,6 +12,7 @@ from lindrive.errors import ConfigError, ContractError, DataError, NumericError,
 from lindrive.rwkv7 import (
     ElementSet,
     RecurrentState,
+    block_absorb,
     block_apply,
     block_branch,
     block_forward,
@@ -693,6 +694,34 @@ class TestBlockBranch:
             np.testing.assert_allclose(y[i], np.einsum("hvk,hk->hv", S_i, r_heads[i]), atol=1e-12)
 
 
+class TestBlockAbsorb:
+    """block_absorb leaves the state block_forward leaves, without the
+    block's outputs."""
+
+    @pytest.mark.parametrize("prefix", [0, 7])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_state_equals_block_forward(self, dtype, prefix):
+        # prefix > 0 starts from a used state with non-zero shift caches
+        p = random_block_params(16, n_heads=4, seed=97, dtype=dtype)
+        rng = np.random.default_rng(98)
+        tokens = rng.standard_normal((prefix + 40, 16)).astype(dtype)
+        want = RecurrentState.zeros(16, 4, dtype=dtype)
+        block_forward(tokens[:prefix], p, want, "chunked")
+        got = copy.deepcopy(want)
+        block_forward(tokens[prefix:], p, want, "chunked")
+        block_absorb(tokens[prefix:], p, got)
+        for field in ("S", "shift_tm", "shift_cm"):
+            np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+        assert got.tokens_seen == want.tokens_seen == prefix + 40
+
+    def test_skips_the_feed_forward(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(rwkv7, "_ffn", lambda *args: calls.append(args))
+        p = random_block_params(8, seed=99)
+        block_absorb(np.ones((3, 8)), p, RecurrentState.zeros(8, 1))
+        assert calls == []
+
+
 class TestStreamContract:
     """forward_stack and block_branch check the tokens and the state against
     every block before any layer runs; RecurrentState.validate checks a state
@@ -774,6 +803,42 @@ class TestStreamContract:
             block_branch(rows, p, RecurrentState.zeros(8, 2))
         with pytest.raises(DataError):
             block_branch(rows.astype(np.float64), p, RecurrentState.zeros(8, 2, dtype=np.float32))
+
+    def assert_block_apply_rejected(self, block, state, layer, error):
+        before = copy.deepcopy(state)
+        with pytest.raises(error):
+            block_apply(self.tokens(block.dtype), block, state, layer, None, "chunked")
+        for field in ("S", "shift_tm", "shift_cm"):
+            np.testing.assert_array_equal(getattr(state, field), getattr(before, field))
+
+    def test_block_apply_state_of_other_head_count_rejected(self):
+        self.assert_block_apply_rejected(
+            self.stack()[0], RecurrentState.zeros(8, 4, n_layers=2), 0, ShapeError
+        )
+
+    def test_block_apply_state_of_other_dtype_rejected(self):
+        self.assert_block_apply_rejected(
+            self.stack()[0], RecurrentState.zeros(8, 2, n_layers=2, dtype=np.float32), 0, DataError
+        )
+
+    @pytest.mark.parametrize("layer", [-1, 2])
+    def test_block_apply_layer_outside_state_rejected(self, layer):
+        self.assert_block_apply_rejected(
+            self.stack()[0], RecurrentState.zeros(8, 2, n_layers=2), layer, ShapeError
+        )
+
+    def test_block_apply_checks_only_its_layer(self):
+        # layer 1 of a 2-layer stack runs as forward_stack runs it
+        blocks, state = self.stack(), RecurrentState.zeros(8, 2, n_layers=2)
+        want = forward_stack(self.tokens(), blocks, copy.deepcopy(state), "chunked")
+        x, v0 = block_apply(self.tokens(), blocks[0], state, 0, None, "chunked")
+        x, _ = block_apply(x, blocks[1], state, 1, v0, "chunked")
+        np.testing.assert_array_equal(x, want)
+
+    def test_empty_stack_rejected(self):
+        state = RecurrentState.zeros(8, 2)
+        with pytest.raises(ConfigError):
+            forward_stack(self.tokens(), [], state, "chunked")
 
     def test_fresh_state_validates(self):
         for dtype in (np.float32, np.float64):

@@ -248,3 +248,43 @@ class TestStateSnapshots:
         np.savez(path, S=np.zeros((1, 1, 4, 4)), shift_tm=np.zeros((1, 4)))
         with pytest.raises(ShapeError):
             snapshots.load_state(path)
+
+
+def write_npy(path):
+    with open(path, "wb") as fh:
+        np.save(fh, np.zeros(3))
+
+
+def write_object_entry(path):
+    with open(path, "wb") as fh:
+        np.savez(fh, S=np.array([{"S": 1}], dtype=object))
+
+
+class TestNotAnArchive:
+    """A snapshot file that is not an .npz archive raises DataError, not
+    numpy's ValueError; a missing file still raises FileNotFoundError."""
+
+    @pytest.mark.parametrize(
+        "write",
+        [
+            lambda path: path.write_text(json.dumps({"S": [0.0]})),
+            lambda path: path.write_bytes(b""),
+            lambda path: path.write_bytes(b"PK\x03\x04 truncated"),
+            write_npy,
+            write_object_entry,
+        ],
+        ids=["json-text", "empty", "truncated-zip", "npy-array", "object-entry"],
+    )
+    @pytest.mark.parametrize("load", [snapshots.load_state, snapshots.load_params],
+                             ids=["load_state", "load_params"])
+    def test_rejected(self, tmp_path, write, load):
+        path = tmp_path / "snapshot.npz"
+        write(path)
+        with pytest.raises(DataError):
+            load(path)
+
+    @pytest.mark.parametrize("load", [snapshots.load_state, snapshots.load_params],
+                             ids=["load_state", "load_params"])
+    def test_missing_file(self, tmp_path, load):
+        with pytest.raises(FileNotFoundError):
+            load(tmp_path / "absent.npz")
