@@ -420,6 +420,45 @@ def _score_mask(B: int):
     return mask
 
 
+def _prepare_run(w, khat, rw, brow, k_replace, v, B: int):
+    """Every step of a run of n sub-chunks of B tokens that does not read the
+    state, batched with the sub-chunk index first.
+
+    The inputs are (n B, H, K) rows, v (n B, H, V). Returns, each with
+    leading (n, H): q, the [khat F1; r F2] rows (2B, K); the masked scores
+    (2B, 2B), whose top-left block holds I - L in place of L; mv (2B, V),
+    holding G v, the state-free part of the solve's right-hand side, above
+    v; the decay F2_B (1, K); and c * decay (2B, K), with c the
+    [brow / F2; k_replace / F2] rows.
+    """
+    nB, H, K = w.shape
+    n = nB // B
+
+    def by_chunk(x):  # (n B, H, K) -> (n, H, B, K)
+        return x.reshape(n, B, H, -1).transpose(0, 2, 1, 3)
+
+    # F[..., t, :] is the product of w over the steps before t: F1 drops the
+    # last row, F2 the first
+    F = np.ones((n, H, B + 1, K), dtype=w.dtype)
+    np.cumprod(by_chunk(w), axis=2, out=F[:, :, 1:])
+    q = np.empty((n, H, 2, B, K), dtype=w.dtype)
+    c = np.empty_like(q)
+    for half, (query, key) in enumerate([(khat, brow), (rw, k_replace)]):
+        np.multiply(by_chunk(query), F[:, :, :-1], out=q[:, :, half])
+        np.divide(by_chunk(key), F[:, :, 1:], out=c[:, :, half])
+    q, c = q.reshape(n, H, 2 * B, K), c.reshape(n, H, 2 * B, K)
+    scores = q @ c.swapaxes(-1, -2)
+    scores *= _score_mask(B)
+    L = scores[..., :B, :B]
+    np.subtract(np.eye(B, dtype=bool), L, out=L)
+    mv = np.empty((n, H, 2 * B, v.shape[-1]), dtype=v.dtype)
+    mv[:, :, B:] = by_chunk(v)
+    np.matmul(scores[..., :B, B:], mv[:, :, B:], out=mv[:, :, :B])
+    decay = F[:, :, -1:]
+    c *= decay
+    return q, scores, mv, decay, c
+
+
 def chunk_readouts(S_in, e: ElementSet, r_heads, max_chunk: int = DEFAULT_CHUNK):
     """Chunk-parallel delta rule: readouts y_t = S_t r_t^T for every token of
     `e` and the final state, equal to repeated state_step.
@@ -435,46 +474,40 @@ def chunk_readouts(S_in, e: ElementSet, r_heads, max_chunk: int = DEFAULT_CHUNK)
     matrices come from one masked matmul per head, [khat F1; r F2] times
     [brow / F2; k_replace / F2]^T, and one unit-lower-triangular solve yields
     the per-step readouts m_t = S_{t-1} khat_t^T; no per-step state is built.
+
+    Only the state carry is sequential. The full sub-chunks form one run and
+    a ragged tail another; _prepare_run computes everything of a run that
+    does not read the state in batched calls, and the loop over its
+    sub-chunks keeps the state reads q S^T, the solve, the readout and the
+    state update.
     Every w exceeds W_LOWER_BOUND, so 1/F2 < W_LOWER_BOUND ** -DEFAULT_CHUNK
     (about 2.7e8): no float32 overflow, and each ratio's rounding is relative.
     """
     if not 1 <= max_chunk <= DEFAULT_CHUNK:
         raise ConfigError(f"max_chunk must lie in [1, {DEFAULT_CHUNK}], got {max_chunk}")
-    H, _, K = S_in.shape
+    H = S_in.shape[0]
     T = e.w.shape[0]
     w = _split_heads(e.w, H)
     k_removal = _split_heads(e.k_removal, H)
     khat, norm = _normalize_removal(k_removal)
     # removal row of the transition: transition_t = diag(w_t) + khat_t^T brow_t
     brow = -(_split_heads(e.a, H) / norm) * k_removal
-    # (H, 2, T, K) operands; r_t F2_t = (r_t w_t) F1_t, so both query rows
-    # scale by F1
-    queries = np.stack([khat, r_heads * w]).transpose(2, 0, 1, 3)
-    keys = np.stack([brow, _split_heads(e.k_replace, H)]).transpose(2, 0, 1, 3)
-    v = _split_heads(e.v, H).transpose(1, 0, 2)
-    w = w.transpose(1, 0, 2)
+    # r_t F2_t = (r_t w_t) F1_t, so both query rows scale by F1
+    rows = (w, khat, r_heads * w, brow, _split_heads(e.k_replace, H), _split_heads(e.v, H))
     y = np.empty_like(r_heads)
     S = S_in
-    for lo in range(0, T, max_chunk):
-        hi = min(lo + max_chunk, T)
-        B = hi - lo
-        # F[:, t] is the product of w over the steps before t: F1 = F[:, :-1],
-        # F2 = F[:, 1:]
-        F = np.ones((H, B + 1, K), dtype=w.dtype)
-        np.cumprod(w[:, lo:hi], axis=1, out=F[:, 1:])
-        q = (queries[:, :, lo:hi] * F[:, None, :-1]).reshape(H, 2 * B, K)
-        c = (keys[:, :, lo:hi] / F[:, None, 1:]).reshape(H, 2 * B, K)
-        scores = q @ c.transpose(0, 2, 1)
-        scores *= _score_mask(B)
-        # readouts of the incoming state: pre-solve rows, then the outputs'
-        qS = q @ S.transpose(0, 2, 1)
-        v_sub = v[:, lo:hi]
-        rhs = qS[:, :B] + scores[:, :B, B:] @ v_sub
-        m = np.linalg.solve(np.eye(B, dtype=bool) - scores[:, :B, :B], rhs)
-        mv = np.concatenate([m, v_sub], axis=1)
-        y[lo:hi] = (qS[:, B:] + scores[:, B:] @ mv).transpose(1, 0, 2)
-        decay = F[:, -1:]
-        S = S * decay + mv.transpose(0, 2, 1) @ (c * decay)
+    full = T - T % max_chunk
+    for lo, hi, B in ((0, full, max_chunk), (full, T, T - full)):
+        if hi == lo:
+            continue
+        run = _prepare_run(*(x[lo:hi] for x in rows), B)
+        for i, (q, scores, mv, decay, c_decay) in enumerate(zip(*run)):
+            # readouts of the incoming state: pre-solve rows, then the outputs'
+            qS = q @ S.transpose(0, 2, 1)
+            mv[:, :B] = np.linalg.solve(scores[:, :B, :B], qS[:, :B] + mv[:, :B])
+            at = lo + i * B
+            y[at:at + B] = (qS[:, B:] + scores[:, B:] @ mv).transpose(1, 0, 2)
+            S = S * decay + mv.transpose(0, 2, 1) @ c_decay
     return y, S
 
 
