@@ -556,7 +556,7 @@ def time_mix_output(e: ElementSet, y, params: RwkvBlockParams):
     k_rep = _split_heads(e.k_replace, H)
     v = _split_heads(e.v, H)
     r_k = _split_heads(params.r_k, H)
-    p = _standardize(y).reshape(y.shape[0], -1) * params.ln_out_w + params.ln_out_b
+    p = _standardize(y).reshape(y.shape[0], params.d) * params.ln_out_w + params.ln_out_b
     bonus = np.sum(r * (r_k * k_rep), axis=-1, keepdims=True) * v
     p = p + bonus.reshape(p.shape)
     bad = ~np.isfinite(p).all(axis=1)

@@ -454,16 +454,32 @@ class TestChunkForward:
         np.testing.assert_allclose(y, np.einsum("thvk,thk->thv", states, r), atol=1e-12)
         np.testing.assert_array_equal(S_out, want_final)
 
-    def test_split_invariance(self):
-        # 32 tokens processed as one chunk, 16+16, 4x8 or 8x4 give the same
-        # readouts and end in the same state
-        e = make_elements(32, 8, seed=15)
-        S_in = np.zeros((1, 8, 8))
-        r = e.r.reshape(32, 1, 8)
-        runs = [chunk_readouts(S_in, e, r, max_chunk=size) for size in (32, 16, 8, 4)]
+    @pytest.mark.parametrize("d,n_heads", [(8, 1), (16, 4)])
+    @pytest.mark.parametrize("T", [1, 32, 33, 95, 600])
+    def test_split_invariance(self, T, d, n_heads):
+        # sub-chunks of 32, 16, 8, 5 or 4 tokens give the same readouts and
+        # end in the same state; 600 tokens fill a 512-token tile and part
+        # of another, and every length but 32 leaves a ragged tail for one
+        # of the sizes
+        e = make_elements(T, d, n_heads, seed=15)
+        hd = d // n_heads
+        S_in = np.random.default_rng(16).standard_normal((n_heads, hd, hd))
+        r = e.r.reshape(T, n_heads, hd)
+        runs = [chunk_readouts(S_in, e, r, max_chunk=size) for size in (32, 16, 8, 5, 4)]
         for y, S in runs[1:]:
             np.testing.assert_allclose(y, runs[0][0], atol=1e-10)
             np.testing.assert_allclose(S, runs[0][1], atol=1e-10)
+
+    @pytest.mark.parametrize("max_chunk", [1, 5, rwkv7.DEFAULT_CHUNK])
+    def test_no_tokens(self, max_chunk):
+        # T = 0 reads out nothing and leaves the state as it came
+        e = make_elements(0, 8, n_heads=2, seed=17)
+        S_in = np.random.default_rng(18).standard_normal((2, 4, 4))
+        before = S_in.copy()
+        y, S = chunk_readouts(S_in, e, e.r.reshape(0, 2, 4), max_chunk)
+        assert y.shape == (0, 2, 4)
+        np.testing.assert_array_equal(S, before)
+        np.testing.assert_array_equal(S_in, before)
 
     @pytest.mark.parametrize("max_chunk", [0, rwkv7.DEFAULT_CHUNK + 1])
     def test_max_chunk_out_of_range_raises(self, max_chunk):
@@ -474,14 +490,15 @@ class TestChunkForward:
 
     @pytest.mark.parametrize("d,n_heads", [(64, 1), (16, 4)])
     def test_decay_floor_single_precision(self, d, n_heads):
-        # every w at its lower bound over one full sub-chunk: the kernel's
-        # deepest reciprocal decay; float32 in gives float32 out
-        B, hd = rwkv7.DEFAULT_CHUNK, d // n_heads
-        e = make_elements(B, d, n_heads, seed=18, dtype=np.float32)
+        # every w at its lower bound over three full sub-chunks and a ragged
+        # tail: the kernel's deepest reciprocal decay, met in every
+        # sub-chunk of a run at once; float32 in gives float32 out
+        T, hd = 3 * rwkv7.DEFAULT_CHUNK + 5, d // n_heads
+        e = make_elements(T, d, n_heads, seed=18, dtype=np.float32)
         e.w[...] = rwkv7.W_LOWER_BOUND * (1 + 1e-7)
         rng = np.random.default_rng(19)
         S_in = rng.standard_normal((n_heads, hd, hd)).astype(np.float32)
-        r = e.r.reshape(B, n_heads, hd)
+        r = e.r.reshape(T, n_heads, hd)
         y, S = chunk_readouts(S_in, e, r)
         assert y.dtype == S.dtype == np.float32
         e64 = ElementSet(**{f: x.astype(np.float64) for f, x in vars(e).items()})
@@ -682,6 +699,16 @@ class TestBlockBranch:
         for field in ("S", "shift_tm", "shift_cm"):
             np.testing.assert_array_equal(getattr(state, field), getattr(before, field))
         assert state.tokens_seen == before.tokens_seen
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("fresh", [True, False], ids=["no-state", "state"])
+    def test_zero_rows(self, fresh, dtype):
+        # no rows in, no rows out, as block_forward over an empty sequence
+        p = random_block_params(8, n_heads=2, seed=79, dtype=dtype)
+        state = None if fresh else RecurrentState.zeros(8, 2, dtype=dtype)
+        x = block_branch(np.zeros((0, 8), dtype=dtype), p, state)
+        assert x.shape == (0, 8)
+        assert x.dtype == dtype
 
     def test_readouts_match_state_step(self):
         e = make_elements(5, 8, 2, seed=81)
