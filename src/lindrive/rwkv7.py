@@ -420,16 +420,37 @@ def _score_mask(B: int):
     return mask
 
 
+def _unit_lower_inverse(L):
+    """(I - L)^-1 for strictly lower-triangular L (..., B, B), by block
+    doubling: with the diagonal s-blocks A and D of a diagonal 2s-block
+    inverted, its lower-left block of the inverse is D C A, C being L's
+    block there, so log2(B) levels of batched matmuls invert every matrix
+    at once. B is padded to a power of two with identity rows."""
+    B = L.shape[-1]
+    P = 1 << (B - 1).bit_length()
+    X = np.zeros(L.shape[:-2] + (P, P), dtype=L.dtype)
+    X[..., :B, :B] = L
+    X += np.eye(P, dtype=L.dtype)
+    row, item = X.strides[-2], X.itemsize
+    s = 2
+    while s < P:
+        # the diagonal 2s-blocks of X as one (..., P / 2s, 2s, 2s) view
+        blocks = np.ndarray(X.shape[:-2] + (P // (2 * s), 2 * s, 2 * s), X.dtype, X, 0,
+                            X.strides[:-2] + (2 * s * (row + item), row, item))
+        blocks[..., s:, :s] = blocks[..., s:, s:] @ blocks[..., s:, :s] @ blocks[..., :s, :s]
+        s *= 2
+    return X[..., :B, :B]
+
+
 def _prepare_run(w, khat, rw, brow, k_replace, v, B: int):
-    """Every step of a run of n sub-chunks of B tokens that does not read the
-    state, batched with the sub-chunk index first.
+    """What chunk_readouts needs of a run of n sub-chunks of B tokens that
+    does not read the state, batched with the sub-chunk index first.
 
     The inputs are (n B, H, K) rows, v (n B, H, V). Returns, each with
-    leading (n, H): q, the [khat F1; r F2] rows (2B, K); (I - L)^-1 (B, B);
-    the readout rows of the masked scores (B, 2B); mv (2B, V), holding G v,
-    the state-free part of the right-hand side m is solved from, above v;
-    the decay F2_B (1, K); and c * decay (2B, K), with c the
-    [brow / F2; k_replace / F2] rows.
+    leading (n, H): q = [khat F1; r F2] (2B, K); (I - L)^-1 (B, B); the
+    readout rows of the masked scores (B, 2B); [G v; v] (2B, V), where G v
+    is the state-free part of m's right-hand side; the decay F2_B (1, K);
+    and c * decay (2B, K), with c = [brow / F2; k_replace / F2].
     """
     nB, H, K = w.shape
     n = nB // B
@@ -449,8 +470,7 @@ def _prepare_run(w, khat, rw, brow, k_replace, v, B: int):
     q, c = q.reshape(n, H, 2 * B, K), c.reshape(n, H, 2 * B, K)
     scores = q @ c.swapaxes(-1, -2)
     scores *= _score_mask(B)
-    # unit lower triangular, so never singular
-    inv = np.linalg.inv(np.eye(B, dtype=bool) - scores[..., :B, :B])
+    inv = _unit_lower_inverse(scores[..., :B, :B])
     mv = np.empty((n, H, 2 * B, v.shape[-1]), dtype=v.dtype)
     mv[:, :, B:] = by_chunk(v)
     np.matmul(scores[..., :B, B:], mv[:, :, B:], out=mv[:, :, :B])
@@ -504,7 +524,8 @@ def chunk_readouts(S_in, e: ElementSet, r_heads, max_chunk: int = DEFAULT_CHUNK)
             continue
         run = _prepare_run(*(x[lo:hi] for x in rows), B)
         for i, (q, inv, readout, mv, decay, c_decay) in enumerate(zip(*run)):
-            # readouts of the incoming state: pre-solve rows, then the outputs'
+            # readouts of the incoming state: the rows m is solved from, then
+            # the outputs'
             qS = q @ S.transpose(0, 2, 1)
             mv[:, :B] = inv @ (qS[:, :B] + mv[:, :B])
             at = lo + i * B

@@ -455,31 +455,35 @@ class TestChunkForward:
         np.testing.assert_array_equal(S_out, want_final)
 
     @pytest.mark.parametrize("d,n_heads", [(8, 1), (16, 4)])
-    @pytest.mark.parametrize("T", [1, 32, 33, 95, 600])
+    @pytest.mark.parametrize("T", [0, 1, 32, 33, 95, 600])
     def test_split_invariance(self, T, d, n_heads):
-        # sub-chunks of 32, 16, 8, 5 or 4 tokens give the same readouts and
-        # end in the same state; 600 tokens fill a 512-token tile and part
-        # of another, and every length but 32 leaves a ragged tail for one
-        # of the sizes
+        # sub-chunks of 32, 16, 8, 5 or 4 tokens give the sequential
+        # readouts and final state, and leave the incoming state as it came;
+        # every length but 0 and 32 leaves a ragged tail for some size, 600
+        # tokens fill a 512-token tile and part of another, and T = 0 reads
+        # out nothing and returns the incoming state
         e = make_elements(T, d, n_heads, seed=15)
         hd = d // n_heads
         S_in = np.random.default_rng(16).standard_normal((n_heads, hd, hd))
-        r = e.r.reshape(T, n_heads, hd)
-        runs = [chunk_readouts(S_in, e, r, max_chunk=size) for size in (32, 16, 8, 5, 4)]
-        for y, S in runs[1:]:
-            np.testing.assert_allclose(y, runs[0][0], atol=1e-10)
-            np.testing.assert_allclose(S, runs[0][1], atol=1e-10)
-
-    @pytest.mark.parametrize("max_chunk", [1, 5, rwkv7.DEFAULT_CHUNK])
-    def test_no_tokens(self, max_chunk):
-        # T = 0 reads out nothing and leaves the state as it came
-        e = make_elements(0, 8, n_heads=2, seed=17)
-        S_in = np.random.default_rng(18).standard_normal((2, 4, 4))
         before = S_in.copy()
-        y, S = chunk_readouts(S_in, e, e.r.reshape(0, 2, 4), max_chunk)
-        assert y.shape == (0, 2, 4)
-        np.testing.assert_array_equal(S, before)
+        r = e.r.reshape(T, n_heads, hd)
+        want_y, want_S = sequential_readouts(S_in, e, r)
+        for size in (32, 16, 8, 5, 4):
+            y, S = chunk_readouts(S_in, e, r, max_chunk=size)
+            assert y.shape == r.shape
+            np.testing.assert_allclose(y, want_y, atol=1e-10)
+            np.testing.assert_allclose(S, want_S, atol=1e-10)
         np.testing.assert_array_equal(S_in, before)
+
+    @pytest.mark.parametrize("B", [1, 2, 3, 8, 17, 32])
+    def test_unit_lower_inverse(self, B):
+        # block doubling inverts a batch of (I - L), padding B to a power of
+        # two where it is not one
+        L = np.tril(np.random.default_rng(B).standard_normal((2, 3, B, B)) * 0.5, -1)
+        want = np.linalg.inv(np.eye(B) - L)
+        got = rwkv7._unit_lower_inverse(L)
+        assert got.shape == L.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
     @pytest.mark.parametrize("max_chunk", [0, rwkv7.DEFAULT_CHUNK + 1])
     def test_max_chunk_out_of_range_raises(self, max_chunk):
