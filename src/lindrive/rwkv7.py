@@ -422,10 +422,11 @@ def _score_mask(B: int):
 
 def _unit_lower_inverse(L):
     """(I - L)^-1 for strictly lower-triangular L (..., B, B), by block
-    doubling: with the diagonal s-blocks A and D of a diagonal 2s-block
-    inverted, its lower-left block of the inverse is D C A, C being L's
-    block there, so log2(B) levels of batched matmuls invert every matrix
-    at once. B is padded to a power of two with identity rows."""
+    doubling. I + L inverts the diagonal 2-blocks; once the diagonal
+    s-blocks A and D of a diagonal 2s-block are inverted, the lower-left
+    block of its inverse is D C A, C being L's block there. So one level of
+    batched matmuls per doubling inverts every matrix at once, B padded to
+    a power of two with identity rows."""
     B = L.shape[-1]
     P = 1 << (B - 1).bit_length()
     X = np.zeros(L.shape[:-2] + (P, P), dtype=L.dtype)
@@ -462,6 +463,8 @@ def _prepare_run(w, khat, rw, brow, k_replace, v, B: int):
     # last row, F2 the first
     F = np.ones((n, H, B + 1, K), dtype=w.dtype)
     np.cumprod(by_chunk(w), axis=2, out=F[:, :, 1:])
+    # filled in place: stacking the rows first and reshaping the products
+    # made tile-sized copies that page-faulted afresh on every call
     q = np.empty((n, H, 2, B, K), dtype=w.dtype)
     c = np.empty_like(q)
     for half, (query, key) in enumerate([(khat, brow), (rw, k_replace)]):
