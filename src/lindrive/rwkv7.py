@@ -592,7 +592,10 @@ def time_mix_output(e: ElementSet, y, params: RwkvBlockParams):
 def _ffn(X, x_prev, params: RwkvBlockParams):
     """Squared-ReLU feed-forward of the rows of X after token shift."""
     h = lerp(X, x_prev, params.mu_ffn) @ params.W_ffn_k
-    return np.square(np.maximum(h, 0.0)) @ params.W_ffn_v
+    # in place: a 512-token tile would otherwise allocate two more (T, h_ff)
+    # temporaries, which the allocator returns to the OS and faults back in
+    np.maximum(h, 0.0, out=h)
+    return np.square(h, out=h) @ params.W_ffn_v
 
 
 def channel_mix(X, params: RwkvBlockParams, state: RecurrentState, layer: int = 0):

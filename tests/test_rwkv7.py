@@ -3,6 +3,7 @@ delta-rule recurrence, and sequential <-> chunk-parallel equivalence."""
 
 import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -364,6 +365,22 @@ class TestBitExact:
         (e,) = seen
         assert_elements_equal(e, reference_elements(xn, state.shift_tm[0], p, 0, None))
 
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("T", [1, 32, 512])
+    def test_channel_mix_matches_squared_relu(self, T, dtype):
+        # the in-place activation against the plain out-of-place formula
+        p = random_block_params(64, seed=101, dtype=dtype)
+        rng = np.random.default_rng(102)
+        X = rng.standard_normal((T, 64)).astype(dtype)
+        shift = rng.standard_normal(64).astype(dtype)
+        state = RecurrentState.zeros(64, 1, dtype=dtype)
+        state.shift_cm[0] = shift
+        h = lerp(X, np.vstack([shift[None, :], X[:-1]]), p.mu_ffn) @ p.W_ffn_k
+        want = np.square(np.maximum(h, 0.0)) @ p.W_ffn_v
+        got = channel_mix(X, p, state)
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got, want)
+
 
 # ---------------------------------------------------------------------------
 # delta-rule recurrence
@@ -596,6 +613,24 @@ class TestChannelMix:
         out = channel_mix(np.array([x]), p, state)[0]
         np.testing.assert_allclose(out, want, rtol=1e-12)
         np.testing.assert_array_equal(state.shift_cm[0], x)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_tile_peak_allocation(self, dtype):
+        # the (T, h_ff) hidden activation is squared in place: no further
+        # temporaries of its size (out of place, the peak reads 3.25 of them)
+        T, d = 512, 64
+        p = random_block_params(d, seed=103, dtype=dtype)
+        X = np.random.default_rng(104).standard_normal((T, d)).astype(dtype)
+        state = RecurrentState.zeros(d, 1, dtype=dtype)
+        activation = T * p.W_ffn_k.shape[1] * np.dtype(dtype).itemsize
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            channel_mix(X, p, state)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * activation, f"peak {peak / activation:.2f} activations"
 
 
 class TestBlockForward:
