@@ -34,7 +34,8 @@ class QuerySet:
     tokens: np.ndarray  # (M, d)
 
     def __post_init__(self):
-        self.tokens = np.atleast_2d(np.asarray(self.tokens))
+        if type(self.tokens) is not np.ndarray or self.tokens.ndim != 2:
+            self.tokens = np.atleast_2d(np.asarray(self.tokens))
         if self.tokens.shape[0] < 1:
             raise ShapeError("a QuerySet needs at least one token")
 

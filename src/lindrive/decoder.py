@@ -457,19 +457,33 @@ def decode(
             x = math.sqrt(ab_next) * x0_hat + math.sqrt(1.0 - ab_next) * eps
 
     confidence = feats @ params.W_conf + params.b_conf
-    mapping = sigmoid(feats @ params.W_map + params.b_map)
+    with np.errstate(over="ignore"):
+        mapping = sigmoid(feats @ params.W_map + params.b_map)
     agent_feats = agent_q.tokens
     futures = (agent_feats @ params.W_pred + params.b_pred).reshape(
         agent_feats.shape[0], params.n_waypoints, 2
     )
-    trajectories = [Trajectory(wp, dt=anchors.dt) for wp in x]
     return DecoderOutput(
-        trajectories=trajectories,
+        trajectories=_trajectories(x, anchors.dt),
         confidence=confidence,
         on_road=mapping[:, 0],
         on_route=mapping[:, 1],
         agent_futures=futures,
     )
+
+
+def _trajectories(waypoints, dt: float) -> list[Trajectory]:
+    """[Trajectory(row, dt) for row in waypoints], bit for bit, for (K, N, 3)
+    `waypoints` and a checked dt, with one check and one heading wrap for all
+    K. Float64 waypoints are wrapped in place, as Trajectory wraps its own."""
+    waypoints = np.asarray(waypoints, dtype=np.float64)
+    if not np.isfinite(waypoints).all():
+        raise DataError("waypoints must be finite")
+    waypoints[..., 2] = wrap_angle(waypoints[..., 2])
+    trajectories = [object.__new__(Trajectory) for _ in waypoints]
+    for t, row in zip(trajectories, waypoints):
+        t.waypoints, t.dt = row, dt
+    return trajectories
 
 
 def select_best(out: DecoderOutput) -> tuple[Trajectory, int]:

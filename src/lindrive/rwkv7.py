@@ -44,9 +44,9 @@ DEFAULT_CHUNK = 32
 
 
 def sigmoid(x):
-    # exp overflow for very negative x saturates to 0, which is the limit
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
+    # exp overflow for very negative x saturates to 0, which is the limit;
+    # callers run it under np.errstate(over="ignore")
+    return 1.0 / (1.0 + np.exp(-x))
 
 
 def lerp(a, b, mix):
@@ -276,7 +276,7 @@ class RecurrentState:
         if self.S.ndim != 4:
             raise ShapeError(f"S must be (layers, heads, hd, hd), got {self.S.shape}")
         L, H, hd, _ = self.S.shape
-        _check_layout(self, L, H, hd, self.S.dtype)
+        _check_layout(self.S, self.shift_tm, self.shift_cm, L, H, hd, self.S.dtype)
         if not np.issubdtype(self.S.dtype, np.floating):
             raise DataError(f"state arrays must be floating point, got {self.S.dtype}")
         if not all(np.isfinite(a).all() for a in (self.S, self.shift_tm, self.shift_cm)):
@@ -285,10 +285,9 @@ class RecurrentState:
             raise DataError(f"tokens_seen must be one integer >= 0, got {self.tokens_seen!r}")
 
 
-def _check_layout(state: RecurrentState, L: int, H: int, hd: int, dtype) -> None:
-    """ShapeError unless S is (L, H, hd, hd) and both shift caches (L, H * hd),
-    DataError unless all three are `dtype`."""
-    S, tm, cm = state.S, state.shift_tm, state.shift_cm
+def _check_layout(S, tm, cm, L: int, H: int, hd: int, dtype) -> None:
+    """ShapeError unless S is (L, H, hd, hd) and both shift caches tm and cm
+    (L, H * hd), DataError unless all three are `dtype`."""
     if S.shape != (L, H, hd, hd) or tm.shape != (L, H * hd) or cm.shape != tm.shape:
         raise ShapeError(
             f"state shapes (S, shift_tm, shift_cm) {S.shape}, {tm.shape}, {cm.shape} "
@@ -328,17 +327,19 @@ def _split_heads(x, n_heads: int):
 def _normalize_removal(k_removal_heads):
     """Per-head L2 normalization with epsilon inside the norm."""
     norm = np.sqrt(
-        np.sum(k_removal_heads * k_removal_heads, axis=-1, keepdims=True) + KAPPA_EPS
+        np.add.reduce(k_removal_heads * k_removal_heads, axis=-1, keepdims=True) + KAPPA_EPS
     )
     return k_removal_heads / norm, norm
 
 
+@np.errstate(over="ignore")
 def _compute_elements(x, x_prev, params: RwkvBlockParams, layer: int, v0, state_terms=True):
     """Element equations for a batch of rows; x is (T, d), x_prev (T, d) or
     one (d,) row shared by every token. One lerp over the stacked mix
     vectors gives all six token-shifted inputs. With state_terms False the
     decay w and the removal key, which act only on an earlier state, are
-    left None."""
+    left None. The equations run under one errstate: a sigmoid saturates
+    silently, and the callers' finite checks catch a non-finite element."""
     mu = np.array([params.mu_r, params.mu_w, params.mu_k, params.mu_v, params.mu_a, params.mu_g])
     xr, xw, xk, xv, xa, xg = lerp(x, x_prev, mu[:, None])
     lw, la, lv, lg = params.lora_w, params.lora_a, params.lora_v, params.lora_g
@@ -558,7 +559,8 @@ def branch_readouts(S, e: ElementSet, r_heads):
     zero state, which leaves the last term alone: no state is read.
     """
     H = r_heads.shape[1]
-    y = _split_heads(e.v, H) * np.sum(_split_heads(e.k_replace, H) * r_heads, axis=-1, keepdims=True)
+    k_rep = _split_heads(e.k_replace, H)
+    y = _split_heads(e.v, H) * np.add.reduce(k_rep * r_heads, axis=-1, keepdims=True)
     if S is None:
         return y
     w, a, _, _, khat = _head_operands(e, H)
@@ -566,7 +568,7 @@ def branch_readouts(S, e: ElementSet, r_heads):
     def read(q):  # S q_i^T for every row: (H, V, K) @ (H, K, M) -> (M, H, V)
         return (S @ q.transpose(1, 2, 0)).transpose(2, 0, 1)
 
-    return read(w * r_heads) - read(khat) * np.sum(a * khat * r_heads, axis=-1, keepdims=True) + y
+    return read(w * r_heads) - read(khat) * np.add.reduce(a * khat * r_heads, axis=-1, keepdims=True) + y
 
 
 def time_mix_output(e: ElementSet, y, params: RwkvBlockParams):
@@ -581,11 +583,11 @@ def time_mix_output(e: ElementSet, y, params: RwkvBlockParams):
     v = _split_heads(e.v, H)
     r_k = _split_heads(params.r_k, H)
     p = _standardize(y).reshape(y.shape[0], params.d) * params.ln_out_w + params.ln_out_b
-    bonus = np.sum(r * (r_k * k_rep), axis=-1, keepdims=True) * v
+    bonus = np.add.reduce(r * (r_k * k_rep), axis=-1, keepdims=True) * v
     p = p + bonus.reshape(p.shape)
-    bad = ~np.isfinite(p).all(axis=1)
-    if bad.any():
-        raise NumericError(f"non-finite time-mix readout in row {int(bad.argmax())}")
+    if not np.isfinite(p).all():
+        row = int(np.isfinite(p).all(axis=1).argmin())
+        raise NumericError(f"non-finite time-mix readout in row {row}")
     return (e.g * p) @ params.W_o
 
 
@@ -690,18 +692,9 @@ def _check_stream(tokens, blocks: list[RwkvBlockParams], state: RecurrentState |
         if tokens.dtype != p.dtype:
             raise DataError(f"tokens are {tokens.dtype}, not the block's {p.dtype}")
         if state is not None:
-            _check_layout(state, len(blocks), p.n_heads, p.d // p.n_heads, p.dtype)
+            _check_layout(state.S, state.shift_tm, state.shift_cm, len(blocks), p.n_heads,
+                          p.d // p.n_heads, p.dtype)
     return tokens
-
-
-def _layer_view(state: RecurrentState, layer: int) -> RecurrentState:
-    """Layer `layer` of `state` as a one-layer state sharing its arrays;
-    ShapeError if `state` has no such layer."""
-    n_layers = state.S.shape[0] if state.S.ndim == 4 else 0
-    if not 0 <= layer < n_layers:
-        raise ShapeError(f"layer {layer} is not one of the state's {n_layers} layers")
-    at = slice(layer, layer + 1)
-    return RecurrentState(state.S[at], state.shift_tm[at], state.shift_cm[at], state.tokens_seen)
 
 
 def block_apply(
@@ -727,7 +720,13 @@ def block_apply(
     """
     if mode not in _RECURRENCES:
         raise ConfigError(f"unknown mode {mode!r}")
-    tokens = _check_stream(tokens, [params], _layer_view(state, layer))
+    n_layers = state.S.shape[0] if state.S.ndim == 4 else 0
+    if not 0 <= layer < n_layers:
+        raise ShapeError(f"layer {layer} is not one of the state's {n_layers} layers")
+    tokens = _check_stream(tokens, [params], None)
+    at = slice(layer, layer + 1)
+    _check_layout(state.S[at], state.shift_tm[at], state.shift_cm[at], 1, params.n_heads,
+                  params.d // params.n_heads, params.dtype)
     return _run_tiles(tokens, params, state, layer, v0_seq, _RECURRENCES[mode])
 
 

@@ -307,6 +307,60 @@ class TestDecode:
         assert all(a is b for a, b in zip(reads, want))
 
 
+class TestDecodeTrajectories:
+    """decode builds its trajectories as Trajectory(row, dt) builds them from
+    the last layer's refined waypoints, bit for bit."""
+
+    def decode_with_rows(self, monkeypatch, params, anchors, steps=2):
+        """decode's output and the waypoints the last decoder_layer call
+        returned, which decode keeps as its final waypoints."""
+        bundle = make_bundle(seed=6)
+        dtype = params.agent_queries.dtype
+        bundle = BevBundle(*(a.astype(dtype) for a in dataclasses.astuple(bundle)))
+        agent_q = derive_agent_queries(bundle, params)
+        refined = []
+
+        def spy(*args):
+            out = decoder_layer(*args)
+            refined.append(out[0].copy())
+            return out
+
+        monkeypatch.setattr(decoder_module, "decoder_layer", spy)
+        out = decode(anchors, bundle, agent_q, params, steps=steps, seed=51)
+        return out, refined[-1]
+
+    def near_pi_anchors(self):
+        # headings just inside +-pi: corruption and refinement carry some past it
+        data = gen_trajectory_dataset(6, seed=52)
+        data[..., 2] = np.where(np.arange(8) % 2 == 0, np.pi - 1e-3, -np.pi + 1e-3)
+        return AnchorSet([Trajectory(w) for w in data])
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_equal_checked_construction(self, monkeypatch, dtype):
+        anchors = self.near_pi_anchors()
+        params = random_decoder_params(8, n_layers=2, seed=50, dtype=dtype)
+        out, rows = self.decode_with_rows(monkeypatch, params, anchors)
+        assert np.any(np.abs(rows[..., 2]) > np.pi)
+        assert len(out.trajectories) == len(rows) == 6
+        for traj, row in zip(out.trajectories, rows):
+            want = Trajectory(row, dt=anchors.dt)
+            assert traj.dt == want.dt
+            assert traj.waypoints.dtype == want.waypoints.dtype == np.float64
+            assert traj.waypoints.shape == want.waypoints.shape
+            assert traj.waypoints.tobytes() == want.waypoints.tobytes()
+            headings = traj.waypoints[:, 2]
+            assert np.all((headings > -np.pi) & (headings <= np.pi))
+
+    def test_non_finite_waypoints_rejected(self, monkeypatch):
+        # a NaN in the last layer's delta projection reaches the waypoints
+        # alone; in an earlier layer the next cross-attention would reject it
+        # first, as a NumericError
+        params = random_decoder_params(8, n_layers=2, seed=50)
+        params.layers[-1].W_delta[3, 5] = np.nan
+        with pytest.raises(DataError):
+            self.decode_with_rows(monkeypatch, params, self.near_pi_anchors(), steps=1)
+
+
 class TestAgentQueries:
     """derive_agent_queries encodes the constant agent queries once per
     params and re-encodes them only when they are reassigned."""

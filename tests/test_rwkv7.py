@@ -760,6 +760,56 @@ class TestBlockBranch:
             np.testing.assert_allclose(y[i], np.einsum("hvk,hk->hv", S_i, r_heads[i]), atol=1e-12)
 
 
+class TestSaturatedElements:
+    """A sigmoid driven far below its range saturates to 0 silently, whatever
+    the caller's floating-point error state: exp overflows on the way."""
+
+    def saturated_block(self, dtype):
+        p = random_block_params(8, n_heads=2, seed=120, dtype=dtype)
+        p.lora_a.bias[:] = -1e3
+        p.lora_w.bias[:] = -1e3
+        return p
+
+    def spy_elements(self, monkeypatch):
+        seen = []
+        compute = rwkv7._compute_elements
+
+        def spy(*args):
+            seen.append(compute(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(rwkv7, "_compute_elements", spy)
+        return seen
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("mode", ["sequential", "chunked"])
+    def test_block_forward(self, monkeypatch, mode, dtype):
+        p = self.saturated_block(dtype)
+        tokens = np.random.default_rng(121).standard_normal((5, 8)).astype(dtype)
+        seen = self.spy_elements(monkeypatch)
+        with np.errstate(over="raise"):
+            block_forward(tokens, p, RecurrentState.zeros(8, 2, dtype=dtype), mode)
+        (e,) = seen
+        assert np.all(e.a == 0.0)
+        assert np.all(e.w == 1.0)  # exp(-DECAY_GAIN * 0)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("fresh", [True, False], ids=["no-state", "state"])
+    def test_block_branch(self, monkeypatch, fresh, dtype):
+        p = self.saturated_block(dtype)
+        rng = np.random.default_rng(122)
+        state = None
+        if not fresh:
+            state = RecurrentState.zeros(8, 2, dtype=dtype)
+            block_forward(rng.standard_normal((7, 8)).astype(dtype), p, state, "chunked")
+        seen = self.spy_elements(monkeypatch)
+        with np.errstate(over="raise"):
+            block_branch(rng.standard_normal((4, 8)).astype(dtype), p, state)
+        (e,) = seen
+        assert np.all(e.a == 0.0)
+        assert fresh or np.all(e.w == 1.0)
+
+
 class TestBlockAbsorb:
     """block_absorb leaves the state block_forward leaves, without the
     block's outputs."""
