@@ -1,12 +1,13 @@
 """RWKV-7 block primitives: element projections, delta-rule state recurrence
 in sequential and chunk-parallel form, time mixing and channel mixing.
 
-A block has one body, run over tiles of tokens: element projection,
-recurrence, time-mix readout, channel mix. Its two modes differ only in the
-recurrence. Chunked mode runs chunk_readouts, the chunk-parallel kernel that
-fusion and cross-attention use, which never materialises the per-step
-states; sequential mode runs sequential_readouts, the reference that steps
-state_step token by token.
+A block has one body: element projection, recurrence, time-mix readout,
+channel mix. A stack runs depth first, each tile of up to 256 tokens through
+every block before the next tile, so its working memory does not grow with
+the sequence. The two modes differ only in the recurrence. Chunked mode runs
+chunk_readouts, the chunk-parallel kernel that fusion and cross-attention
+use, which never materialises the per-step states; sequential mode runs
+sequential_readouts, the reference that steps state_step token by token.
 
 Everything is plain numpy and dtype-preserving: float64 for oracle work,
 float32 for benchmarks. A block holds no state of its own; callers own a
@@ -318,6 +319,16 @@ class ElementSet:
     g: np.ndarray
     v0: np.ndarray
 
+    def heads(self, n_heads: int) -> ElementSet:
+        """The set with r, w, k_removal, k_replace, v and a as (..., n_heads,
+        head_dim) views, g and v0 as they are: a block call splits its
+        elements once, for every kernel. An absent w and k_removal stay None."""
+        w, k_removal = (None, None) if self.w is None else (
+            _split_heads(self.w, n_heads), _split_heads(self.k_removal, n_heads))
+        return ElementSet(_split_heads(self.r, n_heads), w, k_removal,
+                          _split_heads(self.k_replace, n_heads), _split_heads(self.v, n_heads),
+                          _split_heads(self.a, n_heads), self.g, self.v0)
+
 
 def _split_heads(x, n_heads: int):
     """(..., d) -> (..., n_heads, head_dim)"""
@@ -382,31 +393,20 @@ def project_elements_seq(
     return e
 
 
-def _head_operands(e: ElementSet, H: int):
-    """Per-head delta-rule operands (w, a, v, k_replace, khat), each shaped
-    (..., H, head_dim); khat is the L2-normalized removal key."""
-    khat, _ = _normalize_removal(_split_heads(e.k_removal, H))
-    return (
-        _split_heads(e.w, H),
-        _split_heads(e.a, H),
-        _split_heads(e.v, H),
-        _split_heads(e.k_replace, H),
-        khat,
-    )
-
-
 def state_step(S_prev, e: ElementSet):
     """One delta-rule update.
 
     S_new = S_prev @ (diag(w) - khat^T (a * khat)) + v^T k_replace, applied
-    independently per head; khat is the L2-normalized removal key.
+    independently per head; khat is the L2-normalized removal key. `e` holds
+    one token's (d,) rows.
     """
-    w, a, v, k_rep, khat = _head_operands(e, S_prev.shape[0])
-    if not all(np.isfinite(x).all() for x in (w, a, v, k_rep, khat)):
+    h = e.heads(S_prev.shape[0])
+    khat, _ = _normalize_removal(h.k_removal)
+    if not all(np.isfinite(x).all() for x in (h.w, h.a, h.v, h.k_replace, khat)):
         raise NumericError("non-finite element reached state_step")
-    decayed = S_prev * w[:, None, :]
-    removed = (S_prev @ khat[:, :, None]) * (a * khat)[:, None, :]
-    written = v[:, :, None] * k_rep[:, None, :]
+    decayed = S_prev * h.w[:, None, :]
+    removed = (S_prev @ khat[:, :, None]) * (h.a * khat)[:, None, :]
+    written = h.v[:, :, None] * h.k_replace[:, None, :]
     return decayed - removed + written
 
 
@@ -483,9 +483,9 @@ def _prepare_run(w, khat, rw, brow, k_replace, v, B: int):
     return q, inv, scores[..., B:, :], mv, decay, c
 
 
-def chunk_readouts(S_in, e: ElementSet, r_heads, max_chunk: int = DEFAULT_CHUNK):
+def chunk_readouts(S_in, h: ElementSet, r_heads, max_chunk: int = DEFAULT_CHUNK):
     """Chunk-parallel delta rule: readouts y_t = S_t r_t^T for every token of
-    `e` and the final state, equal to repeated state_step.
+    `h` (ElementSet.heads) and the final state, equal to repeated state_step.
 
     `r_heads` is (T, n_heads, head_dim); returns (y, S_out) with y shaped like
     `r_heads`. Tokens run in sub-chunks of max_chunk <= DEFAULT_CHUNK steps,
@@ -511,15 +511,12 @@ def chunk_readouts(S_in, e: ElementSet, r_heads, max_chunk: int = DEFAULT_CHUNK)
     """
     if not 1 <= max_chunk <= DEFAULT_CHUNK:
         raise ConfigError(f"max_chunk must lie in [1, {DEFAULT_CHUNK}], got {max_chunk}")
-    H = S_in.shape[0]
-    T = e.w.shape[0]
-    w = _split_heads(e.w, H)
-    k_removal = _split_heads(e.k_removal, H)
-    khat, norm = _normalize_removal(k_removal)
+    T = h.w.shape[0]
+    khat, norm = _normalize_removal(h.k_removal)
     # removal row of the transition: transition_t = diag(w_t) + khat_t^T brow_t
-    brow = -(_split_heads(e.a, H) / norm) * k_removal
+    brow = -(h.a / norm) * h.k_removal
     # r_t F2_t = (r_t w_t) F1_t, so both query rows scale by F1
-    rows = (w, khat, r_heads * w, brow, _split_heads(e.k_replace, H), _split_heads(e.v, H))
+    rows = (h.w, khat, r_heads * h.w, brow, h.k_replace, h.v)
     y = np.empty_like(r_heads)
     S = S_in
     full = T - T % max_chunk
@@ -538,57 +535,54 @@ def chunk_readouts(S_in, e: ElementSet, r_heads, max_chunk: int = DEFAULT_CHUNK)
     return y, S
 
 
-def sequential_readouts(S_in, e: ElementSet, r_heads):
+def sequential_readouts(S_in, h: ElementSet, r_heads):
     """Sequential reference for chunk_readouts, with the same arguments and
-    returns: steps state_step token by token and reads out y_t = S_t r_t^T."""
+    returns: steps state_step token by token, each token's rows flattened
+    back to (d,), and reads out y_t = S_t r_t^T."""
     y = np.empty_like(r_heads)
     S = S_in
-    for t in range(e.w.shape[0]):
-        S = state_step(S, ElementSet(**{f: x[t] for f, x in vars(e).items()}))
+    for t in range(h.w.shape[0]):
+        S = state_step(S, ElementSet(**{f: x[t].reshape(-1) for f, x in vars(h).items()}))
         y[t] = np.einsum("hvk,hk->hv", S, r_heads[t])
     return y, S
 
 
-def branch_readouts(S, e: ElementSet, r_heads):
-    """Readouts y_i = S_i r_i^T with S_i = state_step(S, e_i), for every row
-    i of `e` as its own next token after S; S itself is not advanced.
+def branch_readouts(S, h: ElementSet, r_heads):
+    """Readouts y_i = S_i r_i^T with S_i = state_step(S, h_i), for every row
+    i of `h` (ElementSet.heads) as its own next token after S; S itself is
+    not advanced.
 
     `r_heads` is (M, n_heads, head_dim) and y is shaped like it. Expanding
     state_step gives y_i = S (w_i * r_i) - (S khat_i)(a_i khat_i . r_i)
     + v_i (k_replace_i . r_i), so no S_i is ever built. S None stands for a
     zero state, which leaves the last term alone: no state is read.
     """
-    H = r_heads.shape[1]
-    k_rep = _split_heads(e.k_replace, H)
-    y = _split_heads(e.v, H) * np.add.reduce(k_rep * r_heads, axis=-1, keepdims=True)
+    y = h.v * np.add.reduce(h.k_replace * r_heads, axis=-1, keepdims=True)
     if S is None:
         return y
-    w, a, _, _, khat = _head_operands(e, H)
+    khat, _ = _normalize_removal(h.k_removal)
 
     def read(q):  # S q_i^T for every row: (H, V, K) @ (H, K, M) -> (M, H, V)
         return (S @ q.transpose(1, 2, 0)).transpose(2, 0, 1)
 
-    return read(w * r_heads) - read(khat) * np.add.reduce(a * khat * r_heads, axis=-1, keepdims=True) + y
+    return read(h.w * r_heads) - read(khat) * np.add.reduce(h.a * khat * r_heads, axis=-1, keepdims=True) + y
 
 
-def time_mix_output(e: ElementSet, y, params: RwkvBlockParams):
-    """Per-head LayerNorm, readout bonus, gate and output projection.
+def time_mix_output(h: ElementSet, y, params: RwkvBlockParams):
+    """Per-head LayerNorm, readout bonus, gate and output projection of the
+    elements `h` (ElementSet.heads).
 
     `y` holds the raw state readouts S_t r_t, shaped (T, n_heads, head_dim);
     returns (T, d).
     """
-    H = params.n_heads
-    r = _split_heads(e.r, H)
-    k_rep = _split_heads(e.k_replace, H)
-    v = _split_heads(e.v, H)
-    r_k = _split_heads(params.r_k, H)
+    r_k = _split_heads(params.r_k, params.n_heads)
     p = _standardize(y).reshape(y.shape[0], params.d) * params.ln_out_w + params.ln_out_b
-    bonus = np.add.reduce(r * (r_k * k_rep), axis=-1, keepdims=True) * v
+    bonus = np.add.reduce(h.r * (r_k * h.k_replace), axis=-1, keepdims=True) * h.v
     p = p + bonus.reshape(p.shape)
     if not np.isfinite(p).all():
         row = int(np.isfinite(p).all(axis=1).argmin())
         raise NumericError(f"non-finite time-mix readout in row {row}")
-    return (e.g * p) @ params.W_o
+    return (h.g * p) @ params.W_o
 
 
 def _ffn(X, x_prev, params: RwkvBlockParams):
@@ -610,22 +604,30 @@ def channel_mix(X, params: RwkvBlockParams, state: RecurrentState, layer: int = 
 
 # the recurrence each block_apply mode runs; nothing else differs
 _RECURRENCES = {"sequential": sequential_readouts, "chunked": chunk_readouts}
-# tokens per outer tile of block_apply
-_CHUNK_TILE = 512
+# tokens per tile: forward_stack and block_absorb run each tile through every
+# layer before the next, so the tile, not the sequence, sets the working set;
+# all cross-token memory lives in `state`, so tiling changes no output bit
+_CHUNK_TILE = 256
 
 
-def _block_tile(
-    tokens,
-    params: RwkvBlockParams,
-    state: RecurrentState,
-    layer: int,
-    v0_seq,
-    recur,
-    first: int,
-    outputs: bool = True,
-):
+class _BadToken(NumericError):
+    """A non-finite element in row `row` of a tile."""
+
+    def __init__(self, row: int):
+        super().__init__(f"non-finite element in token {row}")
+        self.row = row
+
+
+def _in_tile(err: NumericError, layer: int, lo: int, hi: int) -> NumericError:
+    """`err` of layer `layer` over tokens lo..hi-1, named with both."""
+    detail = f"non-finite element in token {lo + err.row}" if isinstance(err, _BadToken) else err
+    return NumericError(f"layer {layer}, tokens {lo}..{hi - 1}: {detail}")
+
+
+def _block_tile(tokens, params: RwkvBlockParams, state: RecurrentState, layer: int, v0_seq,
+                recur, outputs: bool = True):
     """One tile of a block: project, recur, read out, mix. A non-finite
-    element is named by its token, `first` being the tile's first.
+    element raises _BadToken with its row.
 
     With outputs False the tile only advances `state`: the channel-mix
     shift cache takes the last normed row, the feed-forward never runs and
@@ -637,9 +639,10 @@ def _block_tile(
         np.concatenate([e.r, e.w, e.k_removal, e.k_replace, e.v, e.a], axis=1)
     ).all(axis=1)
     if not finite.all():
-        raise NumericError(f"non-finite element in token {first + int(finite.argmin())}")
-    y, state.S[layer] = recur(state.S[layer], e, _split_heads(e.r, params.n_heads))
-    x = tokens + time_mix_output(e, y, params)
+        raise _BadToken(int(finite.argmin()))
+    h = e.heads(params.n_heads)
+    y, state.S[layer] = recur(state.S[layer], h, h.r)
+    x = tokens + time_mix_output(h, y, params)
     xn2 = layer_norm(x, params.ln2_w, params.ln2_b)
     if not outputs:
         state.shift_cm[layer] = xn2[-1]
@@ -647,25 +650,31 @@ def _block_tile(
     return x + channel_mix(xn2, params, state, layer), e.v0
 
 
-def _run_tiles(tokens, params, state, layer, v0_seq, recur, outputs: bool = True):
-    """_block_tile over the 512-token tiles of `tokens`; returns (outputs,
-    v0_seq), both None when `outputs` is False. A NumericError names the
-    layer and the tile's token range."""
-    # outer tiles bound the working set so long sequences stay cache
-    # resident; the recurrence semantics are tile-invariant because all
-    # cross-token memory lives in `state`
+def _depth_first(tokens, blocks: list[RwkvBlockParams], state: RecurrentState, mode: str,
+                 outputs: bool = True):
+    """Run `blocks` over `tokens` depth first: each tile of up to _CHUNK_TILE
+    tokens goes through every layer (block_apply, with the tile's layer-0
+    values) before the next starts, then counts in state.tokens_seen.
+    Returns the last layer's outputs; with outputs False the one block only
+    advances `state`. A NumericError names the layer, the tile's token range
+    and a bad token, counted over `tokens`."""
     out = np.empty_like(tokens) if outputs else None
-    v0_out = np.empty_like(tokens) if outputs else None
     for lo in range(0, tokens.shape[0], _CHUNK_TILE):
         hi = min(lo + _CHUNK_TILE, tokens.shape[0])
-        v0_tile = None if v0_seq is None else v0_seq[lo:hi]
-        try:
-            x, v0 = _block_tile(tokens[lo:hi], params, state, layer, v0_tile, recur, lo, outputs)
-        except NumericError as err:
-            raise NumericError(f"layer {layer}, tokens {lo}..{hi - 1}: {err}") from err
+        x, v0 = tokens[lo:hi], None
+        for layer, params in enumerate(blocks):
+            try:
+                if outputs:
+                    x, v0 = block_apply(x, params, state, layer, v0, mode)
+                else:
+                    _block_tile(x, params, state, layer, None, _RECURRENCES[mode], outputs)
+            except NumericError as err:
+                # block_apply named the rows of its tile: name them in `tokens`
+                raise _in_tile(err.__cause__ or err, layer, lo, hi) from err
         if outputs:
-            out[lo:hi], v0_out[lo:hi] = x, v0
-    return out, v0_out
+            out[lo:hi] = x
+        state.tokens_seen += hi - lo
+    return out
 
 
 def _token_rows(tokens, d: int):
@@ -711,11 +720,12 @@ def block_apply(
     by deeper layers of a stack. Both modes produce the same outputs and the
     same final state and differ only in the recurrence: sequential steps
     state_step token by token, chunked runs chunk_readouts.
-    `state.tokens_seen` is left to forward_stack, which counts a stack's
-    tokens once. The tokens and layer `layer` of `state` are checked against
-    the block first, as forward_stack checks a stack, so a rejected call
-    leaves `state` unchanged.
-    A NumericError names the layer, the tile's token range and a non-finite
+    The tokens run as one tile: forward_stack calls this once per tile and
+    layer. `state.tokens_seen` is left to forward_stack, which counts a
+    stack's tokens once. The tokens and layer `layer` of `state` are checked
+    against the block first, as forward_stack checks a stack, so a rejected
+    call leaves `state` unchanged.
+    A NumericError names the layer, the token range and a non-finite
     element's token, counting from 0 in `tokens`.
     """
     if mode not in _RECURRENCES:
@@ -727,7 +737,12 @@ def block_apply(
     at = slice(layer, layer + 1)
     _check_layout(state.S[at], state.shift_tm[at], state.shift_cm[at], 1, params.n_heads,
                   params.d // params.n_heads, params.dtype)
-    return _run_tiles(tokens, params, state, layer, v0_seq, _RECURRENCES[mode])
+    if tokens.shape[0] == 0:
+        return tokens.copy(), tokens.copy()
+    try:
+        return _block_tile(tokens, params, state, layer, v0_seq, _RECURRENCES[mode])
+    except NumericError as err:
+        raise _in_tile(err, layer, 0, tokens.shape[0]) from err
 
 
 def block_absorb(tokens, params: RwkvBlockParams, state: RecurrentState) -> None:
@@ -738,9 +753,7 @@ def block_absorb(tokens, params: RwkvBlockParams, state: RecurrentState) -> None
     channel-mix feed-forward, which feeds only the outputs. Checks and
     NumericError messages are those of block_forward.
     """
-    tokens = _check_stream(tokens, [params], state)
-    _run_tiles(tokens, params, state, 0, None, _RECURRENCES["chunked"], outputs=False)
-    state.tokens_seen += tokens.shape[0]
+    _depth_first(_check_stream(tokens, [params], state), [params], state, "chunked", False)
 
 
 def block_branch(tokens, params: RwkvBlockParams, state: RecurrentState | None = None):
@@ -763,9 +776,8 @@ def block_branch(tokens, params: RwkvBlockParams, state: RecurrentState | None =
         S, shift_tm, shift_cm = state.S[0], state.shift_tm[0], state.shift_cm[0]
     try:
         xn = layer_norm(tokens, params.ln1_w, params.ln1_b)
-        e = _compute_elements(xn, shift_tm, params, 0, None, S is not None)
-        y = branch_readouts(S, e, _split_heads(e.r, params.n_heads))
-        x = tokens + time_mix_output(e, y, params)
+        h = _compute_elements(xn, shift_tm, params, 0, None, S is not None).heads(params.n_heads)
+        x = tokens + time_mix_output(h, branch_readouts(S, h, h.r), params)
         xn2 = layer_norm(x, params.ln2_w, params.ln2_b)
         return x + _ffn(xn2, shift_cm, params)
     except NumericError as err:
@@ -788,14 +800,11 @@ def forward_stack(
     state: RecurrentState,
     mode: str = "sequential",
 ):
-    """Run a stack of blocks, threading the layer-0 value residual through
-    and adding the consumed tokens to `state.tokens_seen`. Before any layer
-    runs, `tokens` and `state` are checked against every block."""
-    x = _check_stream(tokens, blocks, state)
-    v0_seq = None
-    for layer, params in enumerate(blocks):
-        x, v0 = block_apply(x, params, state, layer, v0_seq, mode)
-        if layer == 0:
-            v0_seq = v0
-            state.tokens_seen += x.shape[0]
-    return x
+    """Run a stack of blocks depth first, tile by tile (_depth_first),
+    threading the layer-0 value residual through and adding the consumed
+    tokens to `state.tokens_seen`. Before any layer runs, `tokens`, `state`
+    and `mode` are checked against every block."""
+    tokens = _check_stream(tokens, blocks, state)
+    if mode not in _RECURRENCES:
+        raise ConfigError(f"unknown mode {mode!r}")
+    return _depth_first(tokens, blocks, state, mode)

@@ -18,6 +18,6 @@ def chunk_states(S_in, e, max_chunk=DEFAULT_CHUNK):
     for k in range(hd):
         basis = np.zeros((e.r.shape[0], H, hd), dtype=e.r.dtype)
         basis[..., k] = 1.0
-        y, S_out = chunk_readouts(S_in, e, basis, max_chunk)
+        y, S_out = chunk_readouts(S_in, e.heads(H), basis, max_chunk)
         cols.append(y)
     return np.stack(cols, axis=-1), S_out

@@ -2,6 +2,7 @@
 constant-memory streaming, BEV assembly, and feature state dropout."""
 
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -163,6 +164,35 @@ class TestFusionModes:
         seq = build_frame_sequence(frames_fixture(2, seed=15), params.pos_emb)
         with pytest.raises(DataError):
             fuse_parallel(seq, params)
+
+
+def fuse_peak_bytes(seq, params) -> int:
+    """tracemalloc peak of one fuse_parallel call above its input and its
+    output."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fuse_parallel(seq, params)
+        return tracemalloc.get_traced_memory()[1] - base - out.nbytes
+    finally:
+        tracemalloc.stop()
+
+
+class TestWorkingMemory:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_constant_in_history_length(self, dtype):
+        # the history rebuild runs tile by tile through every layer, so 8,192
+        # tokens need the working memory of 512: the paper's constant cost
+        params = random_fusion_params(64, 2, 1, 32, seed=41, dtype=dtype)
+        peaks = {}
+        for frames in (16, 256):  # 512 and 8,192 tokens of 32 per frame
+            seq = build_frame_sequence(
+                gen_synthetic_frames(frames, 42, d=64, dtype=dtype), params.pos_emb
+            )
+            fuse_parallel(seq[:32], params)  # warm-up: cached masks
+            peaks[seq.shape[0]] = fuse_peak_bytes(seq, params)
+        assert peaks[512] > 0
+        assert abs(peaks[8192] - peaks[512]) <= 0.05 * peaks[512], f"peaks {peaks}"
 
 
 class TestBevAssembly:

@@ -319,7 +319,7 @@ class TestBitExact:
         r, k_rep, v = (x.reshape(11, 4, 16) for x in (e.r, e.k_replace, e.v))
         bonus = np.sum(r * (p.r_k.reshape(4, 16) * k_rep), axis=-1, keepdims=True) * v
         ph = yn.reshape(11, 64) * p.ln_out_w + p.ln_out_b + bonus.reshape(11, 64)
-        np.testing.assert_array_equal(time_mix_output(e, y, p), (e.g * ph) @ p.W_o)
+        np.testing.assert_array_equal(time_mix_output(e.heads(4), y, p), (e.g * ph) @ p.W_o)
 
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("layer", [0, 1])
@@ -467,7 +467,7 @@ class TestChunkForward:
         S_in = np.random.default_rng(1).standard_normal((2, 4, 4))
         r = e.r.reshape(6, 2, 4)
         states, want_final = sequential_states(S_in, e, 2)
-        y, S_out = sequential_readouts(S_in, e, r)
+        y, S_out = sequential_readouts(S_in, e.heads(2), r)
         np.testing.assert_allclose(y, np.einsum("thvk,thk->thv", states, r), atol=1e-12)
         np.testing.assert_array_equal(S_out, want_final)
 
@@ -477,16 +477,16 @@ class TestChunkForward:
         # sub-chunks of 32, 16, 8, 5 or 4 tokens give the sequential
         # readouts and final state, and leave the incoming state as it came;
         # every length but 0 and 32 leaves a ragged tail for some size, 600
-        # tokens fill a 512-token tile and part of another, and T = 0 reads
-        # out nothing and returns the incoming state
+        # tokens are longer than two 256-token tiles, and T = 0 reads out
+        # nothing and returns the incoming state
         e = make_elements(T, d, n_heads, seed=15)
         hd = d // n_heads
         S_in = np.random.default_rng(16).standard_normal((n_heads, hd, hd))
         before = S_in.copy()
         r = e.r.reshape(T, n_heads, hd)
-        want_y, want_S = sequential_readouts(S_in, e, r)
+        want_y, want_S = sequential_readouts(S_in, e.heads(n_heads), r)
         for size in (32, 16, 8, 5, 4):
-            y, S = chunk_readouts(S_in, e, r, max_chunk=size)
+            y, S = chunk_readouts(S_in, e.heads(n_heads), r, max_chunk=size)
             assert y.shape == r.shape
             np.testing.assert_allclose(y, want_y, atol=1e-10)
             np.testing.assert_allclose(S, want_S, atol=1e-10)
@@ -507,7 +507,7 @@ class TestChunkForward:
         # longer sub-chunks would leave the bound on the reciprocal decay
         e = make_elements(40, 8, seed=17)
         with pytest.raises(ConfigError, match="max_chunk"):
-            chunk_readouts(np.zeros((1, 8, 8)), e, e.r.reshape(40, 1, 8), max_chunk)
+            chunk_readouts(np.zeros((1, 8, 8)), e.heads(1), e.r.reshape(40, 1, 8), max_chunk)
 
     @pytest.mark.parametrize("d,n_heads", [(64, 1), (16, 4)])
     def test_decay_floor_single_precision(self, d, n_heads):
@@ -520,11 +520,11 @@ class TestChunkForward:
         rng = np.random.default_rng(19)
         S_in = rng.standard_normal((n_heads, hd, hd)).astype(np.float32)
         r = e.r.reshape(T, n_heads, hd)
-        y, S = chunk_readouts(S_in, e, r)
+        y, S = chunk_readouts(S_in, e.heads(n_heads), r)
         assert y.dtype == S.dtype == np.float32
         e64 = ElementSet(**{f: x.astype(np.float64) for f, x in vars(e).items()})
         want_y, want_S = sequential_readouts(
-            S_in.astype(np.float64), e64, r.astype(np.float64)
+            S_in.astype(np.float64), e64.heads(n_heads), r.astype(np.float64)
         )
         assert np.max(np.abs(y - want_y)) <= 1e-5 * np.max(np.abs(want_y))
         assert np.max(np.abs(S - want_S)) <= 1e-5 * np.max(np.abs(want_S))
@@ -540,7 +540,7 @@ class TestTimeMix:
         p = random_block_params(8, n_heads=2, seed=16)
         e = make_elements(1, 8, 2, seed=17)
         e.g = np.zeros((1, 8))
-        out = time_mix_output(e, np.zeros((1, 2, 4)), p)[0]
+        out = time_mix_output(e.heads(2), np.zeros((1, 2, 4)), p)[0]
         np.testing.assert_array_equal(out, np.zeros(8))
 
     def test_collapsed_terms_leave_norm_bias(self):
@@ -550,7 +550,7 @@ class TestTimeMix:
         p.W_o[...] = np.eye(4)
         e = make_elements(1, 4, seed=19)
         e.g = np.ones((1, 4))
-        out = time_mix_output(e, np.zeros((1, 1, 4)), p)[0]
+        out = time_mix_output(e.heads(1), np.zeros((1, 1, 4)), p)[0]
         np.testing.assert_allclose(out, p.ln_out_b, atol=1e-12)
 
     def test_matches_scalar_oracle_d2(self):
@@ -577,7 +577,7 @@ class TestTimeMix:
             gp[0] * p.W_o[0, 1] + gp[1] * p.W_o[1, 1],
         ]
         # the readout y = S r enters as (T=1, heads=1, head_dim=2)
-        out = time_mix_output(e, np.array(y).reshape(1, 1, 2), p)[0]
+        out = time_mix_output(e.heads(1), np.array(y).reshape(1, 1, 2), p)[0]
         np.testing.assert_allclose(out, want, rtol=1e-12)
 
 
@@ -753,7 +753,7 @@ class TestBlockBranch:
         e = make_elements(5, 8, 2, seed=81)
         S = np.random.default_rng(82).standard_normal((2, 4, 4))
         r_heads = e.r.reshape(5, 2, 4)
-        y = branch_readouts(S, e, r_heads)
+        y = branch_readouts(S, e.heads(2), r_heads)
         for i in range(5):
             step = ElementSet(**{f: getattr(e, f)[i] for f in e.__dataclass_fields__})
             S_i = state_step(S, step)
@@ -1006,12 +1006,12 @@ class TestNumericErrorContext:
             forward_stack(np.random.default_rng(89).standard_normal((10, 8)), blocks, state, "chunked")
 
 
-def tile_crossing_case():
-    """A 2-layer stack and 1,100 tokens: both modes cross the 512-token outer
-    tile twice."""
-    blocks = [random_block_params(16, n_heads=4, seed=60 + i) for i in range(2)]
-    tokens = np.random.default_rng(62).standard_normal((1100, 16))
-    return blocks, tokens, lambda: RecurrentState.zeros(16, 4, n_layers=2)
+def tile_crossing_case(dtype=np.float64):
+    """A 2-layer stack and 1,100 tokens: both modes cross the 256-token tile
+    four times."""
+    blocks = [random_block_params(16, n_heads=4, seed=60 + i, dtype=dtype) for i in range(2)]
+    tokens = np.random.default_rng(62).standard_normal((1100, 16)).astype(dtype)
+    return blocks, tokens, lambda: RecurrentState.zeros(16, 4, n_layers=2, dtype=dtype)
 
 
 class TestTileBoundary:
@@ -1033,6 +1033,22 @@ class TestTileBoundary:
         np.testing.assert_allclose(np.vstack([out_a, out_b]), out_full, atol=1e-10)
         np.testing.assert_allclose(s_split.S, s_full.S, atol=1e-10)
         assert s_split.tokens_seen == s_full.tokens_seen == 1100
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("mode", ["sequential", "chunked"])
+    def test_depth_first_matches_layer_major(self, mode, dtype):
+        # forward_stack runs each tile through both layers before the next;
+        # block_apply over the whole sequence, one layer after the other,
+        # with the layer-0 values threaded through, gives the same bits
+        blocks, tokens, fresh = tile_crossing_case(dtype)
+        got, want = fresh(), fresh()
+        out = forward_stack(tokens, blocks, got, mode)
+        x, v0 = block_apply(tokens, blocks[0], want, 0, None, mode)
+        x, _ = block_apply(x, blocks[1], want, 1, v0, mode)
+        np.testing.assert_array_equal(out, x)
+        for name in ("S", "shift_tm", "shift_cm"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+        assert got.tokens_seen == tokens.shape[0] and want.tokens_seen == 0
 
 
 class TestProperties:

@@ -10,9 +10,13 @@ interleaved across the shapes, one of each per round, and the shape that
 runs first alternates from round to round. For each shape it reports, per
 call, the minor page faults (median, min and max) and the median
 system-time ms that getrusage charges to the process (null where the
-platform has no getrusage), the median wall ms, and the tracemalloc peak
-of one 512-token tile (block_forward of the first tile through the first
-block, above what was allocated before it).
+platform has no getrusage) and the median wall ms.
+
+It also reports, per dtype, the tracemalloc peak of one fuse_parallel call
+above its input and its output, through the same stack at 512, 2,048 and
+8,192 tokens: the working memory of the history rebuild, which forward_stack
+keeps constant in the history length by running the sequence tile by tile
+through every layer.
 
 A minor fault is a page the kernel maps in when the process first touches
 it: here, mostly memory the allocator had handed back to the OS after one
@@ -54,13 +58,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np  # noqa: E402
 
 from lindrive import fusion, harness  # noqa: E402
-from lindrive.rwkv7 import RecurrentState, block_forward  # noqa: E402
 
 # name -> (dtype, frames); both as the benchmark's drive and stream history
 SHAPES = {"drive-history": (np.float64, 16), "stream-history": (np.float32, 64)}
 D = 64
 TOKENS = 32  # per frame: 16 camera + 16 lidar
-TILE = 512
+PEAK_TOKENS = (512, 2048, 8192)
 ROUNDS = 41
 WARMUP = 3
 
@@ -81,15 +84,16 @@ def usage():
     return ru.ru_minflt, ru.ru_stime
 
 
-def tile_peak_bytes(seq, params) -> int:
-    """tracemalloc peak of one tile through the first block, fresh state."""
-    block = params.blocks[0]
-    state = RecurrentState.zeros(D, block.n_heads, dtype=block.dtype)
+def fuse_peak_bytes(dtype, tokens: int) -> int:
+    """tracemalloc peak of one fuse_parallel call over `tokens` tokens, above
+    its input and its output, after a warm-up call."""
+    seq, params = make_case(dtype, tokens // TOKENS, seed=31)
+    fusion.fuse_parallel(seq, params)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        block_forward(seq[:TILE], block, state, "chunked")
-        return tracemalloc.get_traced_memory()[1] - base
+        out = fusion.fuse_parallel(seq, params)
+        return tracemalloc.get_traced_memory()[1] - base - out.nbytes
     finally:
         tracemalloc.stop()
 
@@ -123,7 +127,6 @@ def run(rounds: int) -> dict:
             "faults_max": max(s["faults"], default=None),
             "sys_ms_per_call": round(statistics.median(s["sys_ms"]), 3) if s["sys_ms"] else None,
             "wall_ms_per_call": round(statistics.median(s["wall_ms"]), 3),
-            "tile_peak_bytes": tile_peak_bytes(seq, params),
         }
     return {
         "env": {
@@ -135,6 +138,10 @@ def run(rounds: int) -> dict:
             "rounds": rounds,
         },
         "shapes": report,
+        "fuse_peak_bytes": {
+            np.dtype(dtype).name: {str(t): fuse_peak_bytes(dtype, t) for t in PEAK_TOKENS}
+            for dtype in (np.float32, np.float64)
+        },
     }
 
 

@@ -57,14 +57,15 @@ def case_name(dtype, d: int, heads: int, T: int) -> str:
 
 
 def make_case(dtype, d: int, heads: int, T: int, seed: int):
-    """(S_in, e, r_heads) as _block_tile hands them to chunk_readouts."""
+    """(S_in, h, r_heads) as _block_tile hands them to chunk_readouts."""
     params = random_block_params(d, heads, seed=seed, dtype=dtype)
     state = RecurrentState.zeros(d, heads, dtype=dtype)
     rng = np.random.default_rng(seed + 1)
     block_forward(rng.standard_normal((PREFIX, d)).astype(dtype), params, state, "chunked")
     tokens = rng.standard_normal((T, d)).astype(dtype)
     e = project_elements_seq(layer_norm(tokens, params.ln1_w, params.ln1_b), params, state)
-    return state.S[0].copy(), e, e.r.reshape(T, heads, d // heads)
+    h = e.heads(heads)
+    return state.S[0].copy(), h, h.r
 
 
 def run(rounds: int) -> dict:
