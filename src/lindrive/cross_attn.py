@@ -34,8 +34,7 @@ class QuerySet:
     tokens: np.ndarray  # (M, d)
 
     def __post_init__(self):
-        if type(self.tokens) is not np.ndarray or self.tokens.ndim != 2:
-            self.tokens = np.atleast_2d(np.asarray(self.tokens))
+        self.tokens = np.atleast_2d(np.asarray(self.tokens))
         if self.tokens.shape[0] < 1:
             raise ShapeError("a QuerySet needs at least one token")
 
@@ -109,16 +108,6 @@ def attend(
 ) -> QuerySet:
     """encode_query then cross_attend, the usual composite."""
     return cross_attend(features, encode_query(q, params.encoder), params.mixer)
-
-
-def attend_state(
-    state: RecurrentState,
-    q: QuerySet,
-    params: CrossAttnParams,
-) -> QuerySet:
-    """encode_query then read_state: attend against a feature state that
-    feature_state built once with params.mixer."""
-    return read_state(state, encode_query(q, params.encoder), params.mixer)
 
 
 def random_cross_attn_params(

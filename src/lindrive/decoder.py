@@ -31,7 +31,6 @@ from .cross_attn import (
     CrossAttnParams,
     QuerySet,
     attend,
-    attend_state,
     cross_attend,
     encode_query,
     feature_state,
@@ -39,7 +38,7 @@ from .cross_attn import (
 )
 from .errors import ConfigError, ContractError, DataError, ShapeError
 from .fusion import BevBundle
-from .rwkv7 import RecurrentState, sigmoid
+from .rwkv7 import RecurrentState, block_branch, sigmoid
 
 DT = 0.5  # 2 Hz waypoint grid
 DEFAULT_HORIZON = 8  # waypoints, 4 seconds
@@ -380,16 +379,17 @@ def decoder_layer(
 
     `bev_state` and `agent_state` are the feature states of the BEV tokens
     and of the agent queries under the layer's two mixing blocks
-    (cross_attn.feature_state). Every mode reads them on its own, so the
-    layer treats the modes symmetrically: permuting the modes permutes the
+    (cross_attn.feature_state). Every mode is encoded, then reads them on
+    its own (block_branch, as encode_query then read_state), so the layer
+    treats the modes symmetrically: permuting the modes permutes the
     outputs.
     """
     noisy = np.asarray(noisy)
     k_m = noisy.shape[0]
     flat = noisy.reshape(k_m, -1)
     x = flat @ lp.W_embed + lp.b_embed
-    x = attend_state(bev_state, QuerySet(x), lp.bev_attn).tokens
-    x = attend_state(agent_state, QuerySet(x), lp.agent_attn).tokens
+    for attn, state in ((lp.bev_attn, bev_state), (lp.agent_attn, agent_state)):
+        x = block_branch(block_branch(x, attn.encoder), attn.mixer, state)
     x = x + np.maximum(x @ lp.W_ff1, 0.0) @ lp.W_ff2
     delta = x @ lp.W_delta + lp.b_delta
     return (flat + delta).reshape(noisy.shape), x
@@ -403,13 +403,12 @@ def decode(
     steps: int = 2,
     *,
     seed: int = 0,
-    k_modes: int | None = None,
     stochastic: bool = False,
 ) -> DecoderOutput:
     """Corrupt the anchors at the truncation point, then denoise in `steps`
     passes through the cascaded layers and apply the output heads.
 
-    Deterministic under the seed; k_modes subsamples the anchors first.
+    Deterministic under the seed.
     """
     if steps < 1:
         raise ConfigError("need at least one denoising step")
@@ -417,12 +416,6 @@ def decode(
         raise ShapeError(
             f"anchors have {anchors.n} waypoints, decoder expects {params.n_waypoints}"
         )
-    rng = np.random.default_rng(seed)
-    if k_modes is not None:
-        if not 1 <= k_modes <= anchors.k:
-            raise ConfigError(f"k_modes must lie in [1, {anchors.k}]")
-        idx = rng.choice(anchors.k, size=k_modes, replace=False)
-        anchors = AnchorSet([anchors.anchors[i] for i in idx])
 
     sched = params.sched
     # decode in the params' dtype: the alpha-bar factors are Python floats
@@ -430,6 +423,7 @@ def decode(
     x = corrupt_anchors(anchors, sched, sched.truncate_at, seed).astype(dtype)
     # e.g. 2 steps from truncation 50: evaluate at 50 and 25, land on 0
     t_grid = np.linspace(sched.truncate_at, 0, steps + 1).round().astype(int)
+    rng = np.random.default_rng(seed) if stochastic else None
     # the features are the same at every step: read them once per layer
     states = [
         (

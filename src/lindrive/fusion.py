@@ -12,10 +12,8 @@ One streaming session owns one RecurrentState; fuse_parallel is pure.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
@@ -304,44 +302,3 @@ class FusionSession:
         if S.dtype != ours.dtype:
             raise DataError(f"snapshot dtype {S.dtype} is not the session's {ours.dtype}")
         self.state = state
-
-
-# --- file formats -----------------------------------------------------------
-
-
-def write_frames_jsonl(path, frames: list[FrameTokens]) -> None:
-    """One JSON record per line: {"t": ..., "camera": [[...]], "lidar": [[...]]}"""
-    with open(path, "w") as fh:
-        for f in frames:
-            fh.write(
-                json.dumps(
-                    {"t": int(f.t), "camera": f.camera.tolist(), "lidar": f.lidar.tolist()}
-                )
-                + "\n"
-            )
-
-
-def read_frames_jsonl(path) -> list[FrameTokens]:
-    frames = []
-    for line in Path(path).read_text().splitlines():
-        if not line.strip():
-            continue
-        rec = json.loads(line)
-        frames.append(
-            FrameTokens(
-                camera=np.asarray(rec["camera"], dtype=np.float64),
-                lidar=np.asarray(rec["lidar"], dtype=np.float64),
-                t=int(rec["t"]),
-            )
-        )
-    return frames
-
-
-def ego_to_json(ego: EgoStatus) -> dict:
-    return {"v": ego.velocity, "a": ego.acceleration, "cmd": ego.command.value}
-
-
-def ego_from_json(rec: dict) -> EgoStatus:
-    return EgoStatus(
-        velocity=float(rec["v"]), acceleration=float(rec["a"]), command=rec["cmd"]
-    )

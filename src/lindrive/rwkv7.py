@@ -66,17 +66,17 @@ def lerp(a, b, mix):
     return a + (b - a) * mix
 
 
-def _standardize(x, eps: float = NORM_EPS):
-    """(x - mean) / sqrt(var + eps) over the last axis, in one pass: the
-    same reductions and divisions that np.mean and np.var run."""
+def _standardize(x):
+    """(x - mean) / sqrt(var + NORM_EPS) over the last axis, in one pass:
+    the same reductions and divisions that np.mean and np.var run."""
     n = x.shape[-1]
     c = x - np.add.reduce(x, axis=-1, keepdims=True) / n
-    return c / np.sqrt(np.add.reduce(c * c, axis=-1, keepdims=True) / n + eps)
+    return c / np.sqrt(np.add.reduce(c * c, axis=-1, keepdims=True) / n + NORM_EPS)
 
 
-def layer_norm(x, weight, bias, eps: float = NORM_EPS):
+def layer_norm(x, weight, bias):
     """LayerNorm over the last axis with learned affine."""
-    return _standardize(np.asarray(x), eps) * weight + bias
+    return _standardize(np.asarray(x)) * weight + bias
 
 
 @dataclass
@@ -581,7 +581,7 @@ def time_mix_output(h: ElementSet, y, params: RwkvBlockParams):
     p = p + bonus.reshape(p.shape)
     if not np.isfinite(p).all():
         row = int(np.isfinite(p).all(axis=1).argmin())
-        raise NumericError(f"non-finite time-mix readout in row {row}")
+        raise _BadRow("non-finite time-mix readout in row", row)
     return (h.g * p) @ params.W_o
 
 
@@ -610,24 +610,24 @@ _RECURRENCES = {"sequential": sequential_readouts, "chunked": chunk_readouts}
 _CHUNK_TILE = 256
 
 
-class _BadToken(NumericError):
-    """A non-finite element in row `row` of a tile."""
+class _BadRow(NumericError):
+    """A non-finite value in row `row` of a block's input; `what` names it."""
 
-    def __init__(self, row: int):
-        super().__init__(f"non-finite element in token {row}")
-        self.row = row
+    def __init__(self, what: str, row: int):
+        super().__init__(f"{what} {row}")
+        self.what, self.row = what, row
 
 
 def _in_tile(err: NumericError, layer: int, lo: int, hi: int) -> NumericError:
-    """`err` of layer `layer` over tokens lo..hi-1, named with both."""
-    detail = f"non-finite element in token {lo + err.row}" if isinstance(err, _BadToken) else err
+    """`err` of layer `layer` over tokens lo..hi-1, its row counted from 0."""
+    detail = f"{err.what} {lo + err.row}" if isinstance(err, _BadRow) else err
     return NumericError(f"layer {layer}, tokens {lo}..{hi - 1}: {detail}")
 
 
 def _block_tile(tokens, params: RwkvBlockParams, state: RecurrentState, layer: int, v0_seq,
                 recur, outputs: bool = True):
     """One tile of a block: project, recur, read out, mix. A non-finite
-    element raises _BadToken with its row.
+    element or time-mix readout raises _BadRow with its row.
 
     With outputs False the tile only advances `state`: the channel-mix
     shift cache takes the last normed row, the feed-forward never runs and
@@ -639,7 +639,7 @@ def _block_tile(tokens, params: RwkvBlockParams, state: RecurrentState, layer: i
         np.concatenate([e.r, e.w, e.k_removal, e.k_replace, e.v, e.a], axis=1)
     ).all(axis=1)
     if not finite.all():
-        raise _BadToken(int(finite.argmin()))
+        raise _BadRow("non-finite element in token", int(finite.argmin()))
     h = e.heads(params.n_heads)
     y, state.S[layer] = recur(state.S[layer], h, h.r)
     x = tokens + time_mix_output(h, y, params)
@@ -657,7 +657,7 @@ def _depth_first(tokens, blocks: list[RwkvBlockParams], state: RecurrentState, m
     values) before the next starts, then counts in state.tokens_seen.
     Returns the last layer's outputs; with outputs False the one block only
     advances `state`. A NumericError names the layer, the tile's token range
-    and a bad token, counted over `tokens`."""
+    and a bad token or readout row, counted over `tokens`."""
     out = np.empty_like(tokens) if outputs else None
     for lo in range(0, tokens.shape[0], _CHUNK_TILE):
         hi = min(lo + _CHUNK_TILE, tokens.shape[0])
@@ -725,8 +725,8 @@ def block_apply(
     stack's tokens once. The tokens and layer `layer` of `state` are checked
     against the block first, as forward_stack checks a stack, so a rejected
     call leaves `state` unchanged.
-    A NumericError names the layer, the token range and a non-finite
-    element's token, counting from 0 in `tokens`.
+    A NumericError names the layer, the token range and the row of a
+    non-finite element or readout, counting from 0 in `tokens`.
     """
     if mode not in _RECURRENCES:
         raise ConfigError(f"unknown mode {mode!r}")

@@ -107,7 +107,7 @@ class TestFeatureState:
     @pytest.mark.parametrize("n_heads", [1, 4])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_equals_full_block_forward(self, dtype, n_heads, L):
-        # 600 tokens cross the 512-token tile
+        # 600 tokens cross two 256-token tile boundaries
         p = random_block_params(16, n_heads=n_heads, seed=L, dtype=dtype)
         features = np.random.default_rng(L + 1).standard_normal((L, 16)).astype(dtype)
         want = RecurrentState.zeros(16, n_heads, dtype=dtype)

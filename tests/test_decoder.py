@@ -264,12 +264,6 @@ class TestDecode:
             np.testing.assert_array_equal(ta.waypoints, tb.waypoints)
         np.testing.assert_array_equal(a.confidence, b.confidence)
 
-    def test_mode_subsampling(self):
-        out = decode(
-            self.anchors, self.bundle, self.agent_q, self.params, seed=29, k_modes=3
-        )
-        assert out.n_modes == 3
-
     def test_bad_steps_rejected(self):
         with pytest.raises(ConfigError):
             decode(self.anchors, self.bundle, self.agent_q, self.params, steps=0)
@@ -301,7 +295,7 @@ class TestDecode:
             return feature_state(features, mixer)
 
         monkeypatch.setattr(decoder_module, "feature_state", spy)
-        decode(self.anchors, self.bundle, agent_q, params, steps=steps, k_modes=k)
+        decode(AnchorSet(self.anchors.anchors[:k]), self.bundle, agent_q, params, steps=steps)
         assert len(reads) == 2 * n_layers
         want = [m for lp in params.layers for m in (lp.bev_attn.mixer, lp.agent_attn.mixer)]
         assert all(a is b for a, b in zip(reads, want))

@@ -16,15 +16,11 @@ from lindrive.fusion import (
     FusionSession,
     assemble_bev,
     build_frame_sequence,
-    ego_from_json,
-    ego_to_json,
     feature_state_dropout,
     fuse_parallel,
     fuse_step,
     random_bev_params,
     random_fusion_params,
-    read_frames_jsonl,
-    write_frames_jsonl,
 )
 from lindrive.harness import gen_synthetic_frames
 from lindrive.rwkv7 import RecurrentState
@@ -373,20 +369,3 @@ class TestSessionAndFiles:
         bad.S[1, 0, 2, 3] = np.nan
         save_state(tmp_path / "nan.npz", bad)
         self.assert_restore_rejected(session, tmp_path / "nan.npz", DataError)
-
-    def test_frames_jsonl_round_trip(self, tmp_path):
-        frames = frames_fixture(3, seed=21)
-        path = tmp_path / "frames.jsonl"
-        write_frames_jsonl(path, frames)
-        loaded = read_frames_jsonl(path)
-        assert [f.t for f in loaded] == [f.t for f in frames]
-        for f, g in zip(frames, loaded):
-            np.testing.assert_allclose(g.camera, f.camera)
-            np.testing.assert_allclose(g.lidar, f.lidar)
-
-    def test_ego_json_round_trip(self):
-        ego = EgoStatus(3.5, -0.25, Command.LANE_CHANGE)
-        rec = ego_to_json(ego)
-        assert rec == {"v": 3.5, "a": -0.25, "cmd": "lane-change"}
-        back = ego_from_json(rec)
-        assert back == ego

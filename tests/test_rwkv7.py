@@ -987,7 +987,7 @@ class TestStreamContract:
 class TestNumericErrorContext:
     @pytest.mark.parametrize("mode", ["sequential", "chunked"])
     def test_names_layer_and_tile(self, mode):
-        # a NaN at token 550 fires in the second 512-token tile of layer 0
+        # a NaN at token 550 fires in the third 256-token tile of layer 0
         blocks = [random_block_params(8, seed=84 + i) for i in range(2)]
         tokens = np.random.default_rng(86).standard_normal((600, 8))
         tokens[550, 3] = np.nan
@@ -1004,6 +1004,30 @@ class TestNumericErrorContext:
         state = RecurrentState.zeros(8, 1, n_layers=2)
         with pytest.raises(NumericError, match=r"^layer 1, tokens 0\.\.9: "):
             forward_stack(np.random.default_rng(89).standard_normal((10, 8)), blocks, state, "chunked")
+
+    @pytest.mark.parametrize("mode", ["sequential", "chunked"])
+    def test_readout_row_counted_over_call(self, monkeypatch, mode):
+        # the fifth time-mix output is layer 0 of the third tile, tokens
+        # 512..599, whose row 38 is token 550
+        calls = []
+
+        def spy(h, y, params):
+            calls.append(None)
+            if len(calls) == 5:
+                y = y.copy()
+                y[38] = np.inf
+            with np.errstate(invalid="ignore"):
+                return time_mix_output(h, y, params)
+
+        monkeypatch.setattr(rwkv7, "time_mix_output", spy)
+        blocks = [random_block_params(8, seed=84 + i) for i in range(2)]
+        tokens = np.random.default_rng(86).standard_normal((600, 8))
+        state = RecurrentState.zeros(8, 1, n_layers=2)
+        with pytest.raises(
+            NumericError,
+            match=r"^layer 0, tokens 512\.\.599: non-finite time-mix readout in row 550$",
+        ):
+            forward_stack(tokens, blocks, state, mode=mode)
 
 
 def tile_crossing_case(dtype=np.float64):
