@@ -158,17 +158,9 @@ class NoiseSchedule:
         return self.betas.shape[0]
 
     @classmethod
-    def linear(
-        cls,
-        beta_min: float = 1e-4,
-        beta_max: float = 2e-2,
-        total_steps: int = 1000,
-        truncate_at: int = 50,
-    ) -> "NoiseSchedule":
-        return cls(
-            betas=np.linspace(beta_min, beta_max, total_steps),
-            truncate_at=truncate_at,
-        )
+    def linear(cls) -> "NoiseSchedule":
+        """Betas 1e-4 to 2e-2 over 1000 steps, truncated at step 50."""
+        return cls(betas=np.linspace(1e-4, 2e-2, 1000), truncate_at=50)
 
 
 # --- anchor construction ------------------------------------------------------
@@ -179,8 +171,10 @@ def cluster_anchors(dataset, k: int, seed: int) -> AnchorSet:
     `dataset`, a list of Trajectory or an (N, n, 3) waypoint array.
 
     Runs at most 100 iterations or until assignments stop changing; the
-    centroids come back reshaped as trajectories.
+    centroids come back reshaped as trajectories. ConfigError for k < 1.
     """
+    if k < 1:
+        raise ConfigError(f"k-means needs at least one cluster, got k={k}")
     if isinstance(dataset, (list, tuple)) and dataset and isinstance(dataset[0], Trajectory):
         data = np.stack([t.waypoints for t in dataset])
         dt = dataset[0].dt
@@ -295,17 +289,16 @@ class DecoderParams:
 
 def random_decoder_params(
     d: int = 64,
-    n_waypoints: int = DEFAULT_HORIZON,
     n_layers: int = 2,
     n_agent_queries: int = 8,
     n_heads: int = 1,
     *,
     seed: int,
-    sched: NoiseSchedule | None = None,
     dtype=np.float64,
 ) -> DecoderParams:
+    """Seeded weights for DEFAULT_HORIZON waypoints under the linear schedule."""
     rng = np.random.default_rng(seed)
-    w3 = 3 * n_waypoints
+    w3 = 3 * DEFAULT_HORIZON
 
     def xattn(offset):
         return random_cross_attn_params(d, n_heads, seed=seed * 37 + offset, dtype=dtype)
@@ -326,15 +319,15 @@ def random_decoder_params(
 
     return DecoderParams(
         d=d,
-        n_waypoints=n_waypoints,
+        n_waypoints=DEFAULT_HORIZON,
         layers=[layer(i) for i in range(n_layers)],
-        sched=sched or NoiseSchedule.linear(),
+        sched=NoiseSchedule.linear(),
         W_conf=(rng.standard_normal(d) / np.sqrt(d)).astype(dtype),
         b_conf=0.0,
         W_map=(rng.standard_normal((d, 2)) / np.sqrt(d)).astype(dtype),
         b_map=np.zeros(2, dtype=dtype),
-        W_pred=(rng.standard_normal((d, 2 * n_waypoints)) / np.sqrt(d)).astype(dtype),
-        b_pred=np.zeros(2 * n_waypoints, dtype=dtype),
+        W_pred=(rng.standard_normal((d, 2 * DEFAULT_HORIZON)) / np.sqrt(d)).astype(dtype),
+        b_pred=np.zeros(2 * DEFAULT_HORIZON, dtype=dtype),
         agent_queries=(rng.standard_normal((n_agent_queries, d)) * 0.5).astype(dtype),
         agent_query_attn=xattn(997),
     )

@@ -223,15 +223,17 @@ def assemble_bev(
 ) -> BevBundle:
     """3x3 local aggregation over the lidar grid, ego embedding, positions.
 
-    The positional table is added here and only here.
+    The positional table is added here and only here. Lidar tokens that do
+    not fill the grid at the projection's width raise ShapeError; tokens in
+    another dtype than the projection raise DataError.
     """
     gh, gw = proj.grid
     fused_lidar = np.asarray(fused_lidar)
-    if fused_lidar.shape[0] != gh * gw:
-        raise ShapeError(
-            f"{fused_lidar.shape[0]} lidar tokens do not fill a {gh}x{gw} grid"
-        )
-    d = fused_lidar.shape[1]
+    d = proj.W.shape[0]
+    if fused_lidar.shape != (gh * gw, d):
+        raise ShapeError(f"lidar tokens {fused_lidar.shape} do not fill a {gh}x{gw}x{d} grid")
+    if fused_lidar.dtype != proj.W.dtype:
+        raise DataError(f"lidar tokens are {fused_lidar.dtype}, the projection {proj.W.dtype}")
     grid = fused_lidar.reshape(gh, gw, d)
     padded = np.zeros((gh + 2, gw + 2, d), dtype=fused_lidar.dtype)
     padded[1:-1, 1:-1] = grid

@@ -20,7 +20,7 @@ from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from .decoder import DEFAULT_HORIZON
+from .decoder import DEFAULT_HORIZON, DT
 from .errors import ConfigError, ShapeError
 from .fusion import FrameTokens, FusionSession, random_fusion_params
 from .pdms import AgentState, SceneEval
@@ -107,30 +107,24 @@ def gen_synthetic_frames(
     return frames
 
 
-def gen_trajectory_dataset(
-    n: int, seed: int, n_waypoints: int = DEFAULT_HORIZON, dt: float = 0.5
-) -> np.ndarray:
-    """(n, N, 3) smooth random trajectories: constant speed, gentle yaw rate."""
+def gen_trajectory_dataset(n: int, seed: int) -> np.ndarray:
+    """(n, DEFAULT_HORIZON, 3) smooth random trajectories on the DT grid:
+    constant speed, gentle yaw rate."""
     rng = np.random.default_rng(seed)
-    out = np.empty((n, n_waypoints, 3))
+    out = np.empty((n, DEFAULT_HORIZON, 3))
     for i in range(n):
         speed = rng.uniform(2.0, 12.0)
         yaw_rate = rng.uniform(-0.25, 0.25)
         heading = 0.0
         pos = np.zeros(2)
-        for k in range(n_waypoints):
-            heading += yaw_rate * dt
-            pos = pos + speed * dt * np.array([np.cos(heading), np.sin(heading)])
+        for k in range(DEFAULT_HORIZON):
+            heading += yaw_rate * DT
+            pos = pos + speed * DT * np.array([np.cos(heading), np.sin(heading)])
             out[i, k] = (pos[0], pos[1], heading)
     return out
 
 
-def gen_synthetic_scene(
-    seed: int,
-    n_agents: int = 3,
-    n_waypoints: int = DEFAULT_HORIZON,
-    dt: float = 0.5,
-) -> tuple[SceneEval, "np.ndarray"]:
+def gen_synthetic_scene(seed: int, n_agents: int = 3) -> tuple[SceneEval, "np.ndarray"]:
     """A random scene plus one smooth candidate trajectory through it.
 
     Agents are slow, generously sized boxes so that any box overlap lasts
@@ -138,7 +132,7 @@ def gen_synthetic_scene(
     well-posed against a fine-stepping oracle.
     """
     rng = np.random.default_rng(seed)
-    traj = gen_trajectory_dataset(1, rng.integers(2**31), n_waypoints, dt)[0]
+    traj = gen_trajectory_dataset(1, rng.integers(2**31))[0]
     agents = []
     for _ in range(n_agents):
         agents.append(

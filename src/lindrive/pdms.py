@@ -292,10 +292,7 @@ def pdms(s: SubScores, weights: PdmsWeights | None = None) -> float:
 
 
 def score_batch(
-    trajs,
-    scene: SceneEval,
-    cfg: ScoreConfig | None = None,
-    weights: PdmsWeights | None = None,
+    trajs, scene: SceneEval, cfg: ScoreConfig | None = None
 ) -> list[tuple[SubScores, float]]:
     """Sub-scores and PDMS of K trajectories in one scene, one array pass
     per sub-score. The trajectories must share n and dt (decoder modes and
@@ -316,17 +313,14 @@ def score_batch(
             comfort=int(comfort[k]),
             ep=float(ep[k]),
         )
-        out.append((subs, pdms(subs, weights)))
+        out.append((subs, pdms(subs)))
     return out
 
 
 def score_trajectory(
-    traj: Trajectory,
-    scene: SceneEval,
-    cfg: ScoreConfig | None = None,
-    weights: PdmsWeights | None = None,
+    traj: Trajectory, scene: SceneEval, cfg: ScoreConfig | None = None
 ) -> tuple[SubScores, float]:
-    return score_batch([traj], scene, cfg, weights)[0]
+    return score_batch([traj], scene, cfg)[0]
 
 
 def eval_subscores(

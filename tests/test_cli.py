@@ -104,6 +104,22 @@ class TestCluster:
         )
         assert code == cli.EXIT_BAD_DATA
 
+    @pytest.mark.parametrize("command", ["cluster", "demo"])
+    def test_fewer_than_one_cluster(self, tmp_path, capsys, command):
+        data_path = tmp_path / "trajs.json"
+        data_path.write_text(json.dumps(
+            [{"dt": 0.5, "waypoints": t.tolist()} for t in gen_trajectory_dataset(4, seed=1)]
+        ))
+        args = {
+            "cluster": ["--data", str(data_path)],
+            "demo": ["--frames", "1", "--scene-out", str(tmp_path / "scene.json")],
+        }[command]
+        code, _, err = run(
+            capsys, command, *args, "--k", "0", "--out", str(tmp_path / "out.json"),
+        )
+        assert code == cli.EXIT_BAD_DATA
+        assert "at least one cluster" in err
+
 
 class TestExitCodes:
     def test_unknown_flag_usage_error(self, capsys):

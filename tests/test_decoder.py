@@ -127,6 +127,11 @@ class TestClusterAnchors:
         with pytest.raises(DataError):
             cluster_anchors(gen_trajectory_dataset(3, seed=7), 5, seed=8)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_fewer_than_one_cluster_rejected(self, k):
+        with pytest.raises(ConfigError, match="at least one cluster"):
+            cluster_anchors(gen_trajectory_dataset(3, seed=7), k, seed=8)
+
     def test_anchor_file_round_trip(self, tmp_path):
         anchors = cluster_anchors(gen_trajectory_dataset(10, seed=9), 4, seed=10)
         save_anchors(tmp_path / "anchors.json", anchors)

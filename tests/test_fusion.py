@@ -235,6 +235,21 @@ class TestBevAssembly:
         with pytest.raises(ShapeError):
             assemble_bev(np.zeros((5, 8)), EgoStatus(0.0, 0.0), proj)
 
+    @pytest.mark.parametrize(
+        "lidar, error",
+        [
+            (np.zeros(4), ShapeError),
+            (np.zeros((4, 6)), ShapeError),
+            (np.zeros((4, 8), dtype=np.float32), DataError),
+        ],
+        ids=["one-dimensional", "width", "float32"],
+    )
+    def test_bad_lidar_rejected(self, lidar, error):
+        # a float64 projection: float32 tokens must not come back promoted
+        proj = random_bev_params(8, (2, 2), seed=17)
+        with pytest.raises(error, match="lidar tokens"):
+            assemble_bev(lidar, EgoStatus(0.0, 0.0), proj)
+
     def test_ego_command_onehot(self):
         ego = EgoStatus(1.0, 2.0, Command.TURN_LEFT)
         feats = ego.features()

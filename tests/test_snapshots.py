@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from lindrive import snapshots
-from lindrive.errors import DataError, ShapeError
+from lindrive.errors import ConfigError, DataError, ShapeError
 from lindrive.rwkv7 import RecurrentState, block_forward, random_block_params
 
 BLOCK = random_block_params(8, n_heads=2, seed=10, h_ff=12, rank=3)
@@ -15,14 +15,24 @@ BLOCK = random_block_params(8, n_heads=2, seed=10, h_ff=12, rank=3)
 NAMES = list(BLOCK.tensors())
 
 
-def assert_params_equal(a, b, exact=True):
-    da, db = snapshots.params_to_dict(a), snapshots.params_to_dict(b)
-    assert da.keys() == db.keys()
-    for key in da:
-        if exact:
-            np.testing.assert_array_equal(da[key], db[key], err_msg=key)
-        else:
-            np.testing.assert_allclose(da[key], db[key], rtol=1e-15, err_msg=key)
+def assert_params_equal(a, b):
+    assert (a.d, a.n_heads) == (b.d, b.n_heads)
+    ta, tb = a.tensors(), b.tensors()
+    assert ta.keys() == tb.keys()
+    for key in ta:
+        np.testing.assert_array_equal(ta[key], tb[key], err_msg=key)
+
+
+def load_edited(tmp_path, edit, params=BLOCK):
+    """load_params of what save_params wrote for `params`, after `edit`
+    changed the dict of its entries in place."""
+    path = tmp_path / "block.npz"
+    snapshots.save_params(path, params)
+    with np.load(path) as data:
+        tensors = dict(data)
+    edit(tensors)
+    np.savez(path, **tensors)
+    return snapshots.load_params(path)
 
 
 class TestParamSnapshots:
@@ -32,141 +42,90 @@ class TestParamSnapshots:
         snapshots.save_params(path, p)
         assert_params_equal(p, snapshots.load_params(path))
 
-    def test_json_round_trip(self, tmp_path):
-        p = random_block_params(8, seed=2)
-        path = tmp_path / "block.json"
-        snapshots.save_params(path, p)
-        loaded = snapshots.load_params(path)
-        assert_params_equal(p, loaded)  # float64 json text is lossless via repr
+    @pytest.mark.parametrize("name", ["block.json", "block.npy", "block"])
+    def test_non_npz_suffix_rejected(self, tmp_path, name):
+        # np.savez would write <name>.npz without a word
+        with pytest.raises(ConfigError, match="npz"):
+            snapshots.save_params(tmp_path / name, BLOCK)
+        assert not list(tmp_path.iterdir())
 
     def test_missing_entry_rejected(self, tmp_path):
         p = random_block_params(8, seed=3)
-        tensors = snapshots.params_to_dict(p)
-        del tensors["W_r"]
         with pytest.raises(ShapeError):
-            snapshots.params_from_dict(tensors)
+            load_edited(tmp_path, lambda tensors: tensors.pop("W_r"), p)
 
     def test_bad_shape_rejected(self, tmp_path):
-        p = random_block_params(8, seed=4)
-        tensors = snapshots.params_to_dict(p)
-        tensors["W_k"] = tensors["W_k"][:4]
-        with pytest.raises(ShapeError):
-            snapshots.params_from_dict(tensors)
+        def truncate(tensors):
+            tensors["W_k"] = tensors["W_k"][:4]
 
-    def test_named_entries_present(self):
-        tensors = snapshots.params_to_dict(random_block_params(8, seed=5))
-        for key in ("W_r", "mu_w", "lora_w.A", "lora_w.B", "lora_w.bias", "k_k"):
-            assert key in tensors
+        with pytest.raises(ShapeError):
+            load_edited(tmp_path, truncate, random_block_params(8, seed=4))
+
+    def test_named_entries_present(self, tmp_path):
+        path = tmp_path / "block.npz"
+        snapshots.save_params(path, random_block_params(8, seed=5))
+        with np.load(path) as data:
+            for key in ("W_r", "mu_w", "lora_w.A", "lora_w.B", "lora_w.bias", "k_k"):
+                assert key in data.files
 
 
 class TestParamSchema:
     """Every entry of RwkvBlockParams.tensors() is checked on load."""
 
-    def test_entries_are_tensors_plus_sizes(self):
+    def test_entries_are_tensors_plus_sizes(self, tmp_path):
         assert len(NAMES) == 34
-        assert list(snapshots.params_to_dict(BLOCK)) == NAMES + ["d", "n_heads"]
+        path = tmp_path / "block.npz"
+        snapshots.save_params(path, BLOCK)
+        with np.load(path) as data:
+            assert data.files == NAMES + ["d", "n_heads"]
 
     @pytest.mark.parametrize("name", NAMES)
-    def test_missing_entry_rejected(self, name):
-        tensors = snapshots.params_to_dict(BLOCK)
-        del tensors[name]
+    def test_missing_entry_rejected(self, tmp_path, name):
         with pytest.raises(ShapeError, match=re.escape(name)):
-            snapshots.params_from_dict(tensors)
+            load_edited(tmp_path, lambda tensors: tensors.pop(name))
 
     @pytest.mark.parametrize("edit", ["drop_row", "add_axis"])
     @pytest.mark.parametrize("name", NAMES)
-    def test_wrong_shape_rejected(self, name, edit):
-        tensors = snapshots.params_to_dict(BLOCK)
-        t = tensors[name]
-        tensors[name] = t[:-1] if edit == "drop_row" else t[None]
+    def test_wrong_shape_rejected(self, tmp_path, name, edit):
+        def reshape(tensors):
+            t = tensors[name]
+            tensors[name] = t[:-1] if edit == "drop_row" else t[None]
+
         with pytest.raises(ShapeError, match=re.escape(name)):
-            snapshots.params_from_dict(tensors)
+            load_edited(tmp_path, reshape)
 
     @pytest.mark.parametrize("name", NAMES)
-    def test_wrong_dtype_rejected(self, name):
-        tensors = snapshots.params_to_dict(BLOCK)
-        tensors[name] = tensors[name].astype(np.float32)
+    def test_wrong_dtype_rejected(self, tmp_path, name):
+        def to_float32(tensors):
+            tensors[name] = tensors[name].astype(np.float32)
+
         with pytest.raises(DataError):
-            snapshots.params_from_dict(tensors)
+            load_edited(tmp_path, to_float32)
 
     @pytest.mark.parametrize("name", NAMES)
-    def test_non_finite_rejected(self, name):
-        tensors = snapshots.params_to_dict(BLOCK)
-        tensors[name] = tensors[name].copy()
-        tensors[name].flat[-1] = np.nan
+    def test_non_finite_rejected(self, tmp_path, name):
+        def poison(tensors):
+            tensors[name].flat[-1] = np.nan
+
         with pytest.raises(DataError, match=re.escape(name)):
-            snapshots.params_from_dict(tensors)
+            load_edited(tmp_path, poison)
 
-    def test_integer_block_rejected(self):
-        tensors = {k: t.astype(np.int64) for k, t in snapshots.params_to_dict(BLOCK).items()}
+    def test_integer_block_rejected(self, tmp_path):
+        def to_int64(tensors):
+            tensors.update((k, t.astype(np.int64)) for k, t in tensors.items())
+
         with pytest.raises(DataError):
-            snapshots.params_from_dict(tensors)
+            load_edited(tmp_path, to_int64)
 
-    @pytest.mark.parametrize("suffix", [".npz", ".json"])
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_round_trip_exact(self, tmp_path, dtype, suffix):
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32-.npz", "float64-.npz"])
+    def test_round_trip_exact(self, tmp_path, dtype):
         p = random_block_params(8, n_heads=2, seed=11, dtype=dtype)
-        path = tmp_path / f"block{suffix}"
+        path = tmp_path / "block.npz"
         snapshots.save_params(path, p)
         loaded = snapshots.load_params(path).tensors()
         for name, t in p.tensors().items():
             assert loaded[name].dtype == dtype, name
             np.testing.assert_array_equal(loaded[name], t, err_msg=name)
-
-    def test_json_without_dtype_reads_float64(self, tmp_path):
-        path = tmp_path / "block.json"
-        snapshots.save_params(path, BLOCK)
-        payload = json.loads(path.read_text())
-        for entry in payload.values():
-            del entry["dtype"]
-        path.write_text(json.dumps(payload))
-        assert_params_equal(BLOCK, snapshots.load_params(path))
-
-    def test_json_unknown_dtype_rejected(self, tmp_path):
-        path = tmp_path / "block.json"
-        snapshots.save_params(path, BLOCK)
-        payload = json.loads(path.read_text())
-        payload["W_r"]["dtype"] = "float17"
-        path.write_text(json.dumps(payload))
-        with pytest.raises(DataError):
-            snapshots.load_params(path)
-
-
-class TestJsonEntries:
-    """A malformed JSON entry raises a typed error that names it."""
-
-    def load_edited(self, tmp_path, edit):
-        path = tmp_path / "block.json"
-        snapshots.save_params(path, BLOCK)
-        payload = json.loads(path.read_text())
-        edit(payload)
-        path.write_text(json.dumps(payload))
-        return snapshots.load_params(path)
-
-    def test_ragged_data_rejected(self, tmp_path):
-        def ragged(payload):
-            payload["W_r"]["data"][1] = payload["W_r"]["data"][1][:-1]
-
-        with pytest.raises(DataError, match="'W_r'"):
-            self.load_edited(tmp_path, ragged)
-
-    @pytest.mark.parametrize("key", ["dims", "data"])
-    def test_missing_field_rejected(self, tmp_path, key):
-        with pytest.raises(DataError, match="'lora_a.B'"):
-            self.load_edited(tmp_path, lambda payload: payload["lora_a.B"].pop(key))
-
-    def test_non_object_entry_rejected(self, tmp_path):
-        def flatten(payload):
-            payload["k_k"] = payload["k_k"]["data"]
-
-        with pytest.raises(DataError, match="'k_k'"):
-            self.load_edited(tmp_path, flatten)
-
-    def test_non_object_file_rejected(self, tmp_path):
-        path = tmp_path / "block.json"
-        path.write_text(json.dumps([1.0, 2.0]))
-        with pytest.raises(DataError, match="object of entries"):
-            snapshots.load_params(path)
 
 
 class TestStateSnapshots:
