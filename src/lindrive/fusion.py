@@ -150,14 +150,14 @@ def build_frame_sequence(frames: list[FrameTokens], pos_emb: np.ndarray) -> np.n
         raise ContractError(f"frame indices must be strictly increasing, got {ts}")
     rows = []
     for f in frames:
-        toks = np.vstack([f.camera, f.lidar])
+        toks = np.concatenate([f.camera, f.lidar])
         if toks.shape != pos_emb.shape:
             raise ShapeError(
                 f"frame {f.t}: {toks.shape} tokens do not match the "
                 f"{pos_emb.shape} positional table"
             )
         rows.append(toks + pos_emb)
-    return np.vstack(rows)
+    return np.concatenate(rows)
 
 
 def fuse_parallel(

@@ -8,6 +8,8 @@ every shape, the dtype and finite values before returning an object.
 
 from __future__ import annotations
 
+import io
+import os
 import zipfile
 from dataclasses import fields
 from pathlib import Path
@@ -18,13 +20,29 @@ from .errors import ConfigError, DataError, ShapeError
 from .rwkv7 import RecurrentState, RwkvBlockParams
 
 
-def save_params(path: str | Path, params: RwkvBlockParams) -> None:
-    """Write one block's parameters to an ``.npz`` path; ConfigError for
-    any other suffix, which np.savez would silently extend."""
+def _write_npz(path: str | Path, kind: str, entries: dict) -> None:
+    """np.savez of `entries` to the ``.npz`` path `path`; ConfigError for any
+    other suffix, which np.savez would silently extend.
+
+    The archive is built in memory and written over the old file in place,
+    then cut to its length. Truncating first cost more than the write on
+    ext4: the freed blocks are discarded, and a file rewritten after a
+    truncation is flushed on close (auto_da_alloc). Like np.savez this is not
+    atomic: a torn overwrite of a same-size archive loads as the old or the
+    new one, or fails its CRC-32 check with DataError."""
     path = Path(path)
     if path.suffix != ".npz":
-        raise ConfigError(f"parameter snapshots are .npz files, got {path.name!r}")
-    np.savez(path, **params.tensors(), d=params.d, n_heads=params.n_heads)
+        raise ConfigError(f"{kind} snapshots are .npz files, got {path.name!r}")
+    archive = io.BytesIO()
+    np.savez(archive, **entries)
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(archive.getbuffer())
+        fh.truncate()
+
+
+def save_params(path: str | Path, params: RwkvBlockParams) -> None:
+    """Write one block's parameters to an ``.npz`` path (_write_npz)."""
+    _write_npz(path, "parameter", {**params.tensors(), "d": params.d, "n_heads": params.n_heads})
 
 
 def load_params(path: str | Path) -> RwkvBlockParams:
@@ -59,11 +77,11 @@ def _npz_entries(path: Path) -> dict[str, np.ndarray]:
 
 
 def save_state(path: str | Path, state: RecurrentState) -> None:
-    """Serialize a stream state, one entry per RecurrentState field;
-    round-trips bit-exactly."""
+    """Serialize a stream state to an ``.npz`` path (_write_npz), one entry
+    per RecurrentState field; round-trips bit-exactly."""
     entries = {f.name: getattr(state, f.name) for f in fields(RecurrentState)}
     entries["tokens_seen"] = np.asarray(state.tokens_seen, dtype=np.int64)
-    np.savez(Path(path), **entries)
+    _write_npz(path, "state", entries)
 
 
 def load_state(path: str | Path) -> RecurrentState:

@@ -311,6 +311,13 @@ class TestSessionAndFiles:
             out_b = b.step(f)
             np.testing.assert_array_equal(out_a, out_b)
 
+    @pytest.mark.parametrize("name", ["session.json", "session"])
+    def test_save_rejects_non_npz_suffix(self, tmp_path, name):
+        session = FusionSession(random_fusion_params(8, 1, 1, 8, seed=19))
+        with pytest.raises(ConfigError, match="npz"):
+            session.save(tmp_path / name)
+        assert not list(tmp_path.iterdir())
+
     def test_frames_counted_from_token_counter(self):
         # the state's token counter is the session's only counter
         params = random_fusion_params(8, 1, 1, 8, seed=19)

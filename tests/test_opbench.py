@@ -1,4 +1,4 @@
-"""tools/opbench.py counts the calls of both ops and times them."""
+"""tools/opbench.py counts the calls of every op and times them."""
 
 import json
 import subprocess
@@ -17,9 +17,9 @@ def run_quick(*args):
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
-def test_quick_run_names_both_ops():
+def test_quick_run_names_every_op():
     report = run_quick()
-    assert set(report["ops"]) == {"drive", "stream"}
+    assert set(report["ops"]) == {"drive", "stream", "resume"}
     for op in report["ops"].values():
         assert op["this"]["calls"]["python"] > 0
         assert op["this"]["calls"]["c"] > 0

@@ -160,6 +160,13 @@ class TestStateSnapshots:
         # and matches the uninterrupted run up to chunk-boundary round-off
         np.testing.assert_allclose(out_tail, out_full[6:], atol=1e-12)
 
+    @pytest.mark.parametrize("name", ["state.json", "state.npy", "state"])
+    def test_non_npz_suffix_rejected(self, tmp_path, name):
+        # np.savez would write <name>.npz, which load_state(<name>) never finds
+        with pytest.raises(ConfigError, match="npz"):
+            snapshots.save_state(tmp_path / name, RecurrentState.zeros(8, 2))
+        assert not list(tmp_path.iterdir())
+
     def test_entries_are_state_fields(self, tmp_path):
         path = tmp_path / "state.npz"
         snapshots.save_state(path, RecurrentState.zeros(8, 2))
@@ -207,6 +214,80 @@ class TestStateSnapshots:
         np.savez(path, S=np.zeros((1, 1, 4, 4)), shift_tm=np.zeros((1, 4)))
         with pytest.raises(ShapeError):
             snapshots.load_state(path)
+
+
+def random_state(d, n_layers, dtype, seed):
+    """A valid state with every entry drawn from `seed`."""
+    state = RecurrentState.zeros(d, 2, n_layers=n_layers, dtype=dtype)
+    rng = np.random.default_rng(seed)
+    for name in ("S", "shift_tm", "shift_cm"):
+        entry = getattr(state, name)
+        entry[...] = rng.standard_normal(entry.shape)
+    state.tokens_seen = int(rng.integers(1, 10_000))
+    return state
+
+
+def assert_states_equal(a, b):
+    for name in ("S", "shift_tm", "shift_cm"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype, name
+        np.testing.assert_array_equal(x, y, err_msg=name)
+    assert a.tokens_seen == b.tokens_seen
+
+
+class TestOverwrite:
+    """save_state writes over an existing file in place and cuts it to
+    length; what it leaves loads as a fresh write would."""
+
+    SMALL = random_state(8, 1, np.float32, seed=30)
+
+    @pytest.mark.parametrize("old", ["larger-snapshot", "unrelated-1MB"])
+    def test_smaller_state_over_larger_file(self, tmp_path, old):
+        path = tmp_path / "state.npz"
+        if old == "larger-snapshot":
+            snapshots.save_state(path, random_state(64, 2, np.float64, seed=31))
+        else:
+            path.write_bytes(np.random.default_rng(32).bytes(1 << 20))
+        old_size = path.stat().st_size
+        snapshots.save_state(path, self.SMALL)
+        fresh = tmp_path / "fresh.npz"
+        snapshots.save_state(fresh, self.SMALL)
+        assert path.stat().st_size == fresh.stat().st_size < old_size
+        assert_states_equal(snapshots.load_state(path), self.SMALL)
+
+    def test_torn_overwrite_is_old_new_or_rejected(self, tmp_path):
+        # a write cut after n bytes of B over a same-size A: the zip CRCs in
+        # A's central directory reject every mix of the two
+        a, b = random_state(8, 2, np.float32, seed=33), random_state(8, 2, np.float32, seed=34)
+        for name, state in (("a.npz", a), ("b.npz", b)):
+            snapshots.save_state(tmp_path / name, state)
+        a_bytes, b_bytes = (tmp_path / "a.npz").read_bytes(), (tmp_path / "b.npz").read_bytes()
+        assert len(a_bytes) == len(b_bytes)
+        path = tmp_path / "torn.npz"
+        outcomes = []
+        for n in np.linspace(0, len(b_bytes), 17).astype(int):
+            path.write_bytes(b_bytes[:n] + a_bytes[n:])
+            try:
+                loaded = snapshots.load_state(path)
+            except DataError:
+                outcomes.append("rejected")
+                continue
+            if loaded.tokens_seen == a.tokens_seen:
+                assert_states_equal(loaded, a)
+                outcomes.append("a")
+            else:
+                assert_states_equal(loaded, b)
+                outcomes.append("b")
+        assert outcomes[0] == "a" and outcomes[-1] == "b"
+        assert "rejected" in outcomes
+
+    def test_np_savez_snapshot_loads(self, tmp_path):
+        # the writer of earlier versions: np.savez straight to the path
+        state = random_state(8, 2, np.float32, seed=35)
+        path = tmp_path / "state.npz"
+        np.savez(path, S=state.S, shift_tm=state.shift_tm, shift_cm=state.shift_cm,
+                 tokens_seen=np.asarray(state.tokens_seen, dtype=np.int64))
+        assert_states_equal(snapshots.load_state(path), state)
 
 
 def write_npy(path):

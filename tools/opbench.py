@@ -1,4 +1,4 @@
-"""Per-op cost of the benchmark's two rwkv7-bound ops, in one process.
+"""Per-op cost of the benchmark's rwkv7-bound ops, in one process.
 
 Builds the ops of the benchmark workloads with the same calls as
 perfbench/workloads.py, at its sizes (d=64, 32 tokens per frame, a 2-layer
@@ -8,17 +8,20 @@ fusion stack):
             derive_agent_queries, decode (2 layers x 2 steps over 16
             anchors), select_best and score_trajectory
     stream  one fused frame, float32: FusionSession.step
+    resume  stream's resume unit: FusionSession.save to a snapshot in a
+            temporary directory, restore into a fresh FusionSession, step;
+            the episode goes on from the restored state
 
 For each op it counts the Python-level and the C-level calls of one op
 after a warm-up episode (sys.setprofile "call" and "c_call" events). The
 op is the same frame of the same seeded inputs every time, so the counts
 repeat exactly for a given numpy and Python.
 
-It then times episodes of ops (16 frames of drive, 64 of stream, each from
-a fresh session). With --against PATH it also loads the lindrive package of
-the checkout at PATH into this process, under another module name, and
-alternates the two trees pass by pass, swapping which runs first: a slow
-spell of the machine then falls on both. It reports each tree's median ms
+It then times episodes of ops (16 frames of drive and resume, 64 of
+stream, each from a fresh session). With --against PATH it also loads the
+lindrive package of the checkout at PATH into this process, under another
+module name, and alternates the two trees pass by pass, swapping which
+runs first: a slow spell of the machine then falls on both. It reports each tree's median ms
 per op, the median over passes of the pair ratio (this tree's median op
 over the other's, per op kind) and the passes this tree won. Every BLAS is
 pinned to one thread. The output is one JSON object.
@@ -43,6 +46,7 @@ import json  # noqa: E402
 import platform  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
+import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 from time import perf_counter  # noqa: E402
 
@@ -53,8 +57,8 @@ D = 64
 L_CAM = L_LID = 16
 TOKENS = L_CAM + L_LID
 K = 16  # anchors, and so modes per frame
-# op -> frames per episode, as perfbench's Drive and Stream
-FRAMES = {"drive": 16, "stream": 64}
+# op -> frames per episode; drive and stream as perfbench's Drive and Stream
+FRAMES = {"drive": 16, "stream": 64, "resume": 16}
 COUNTED_FRAME = 3  # the frame whose op is counted
 PASSES = 40
 SEED = 14
@@ -114,7 +118,25 @@ def stream_op(pkg, frames: int, seed: int):
     return lambda: fusion.FusionSession(params), lambda session, i: session.step(inputs[i])
 
 
-OPS = {"drive": drive_op, "stream": stream_op}
+def resume_op(pkg, frames: int, seed: int):
+    """(new session, op(session, i)) of perfbench's Stream resume unit. Every
+    op overwrites one snapshot file, as the unit does; the directory holding
+    it is removed with the op."""
+    new_session, step = stream_op(pkg, frames, seed)
+    workdir = tempfile.TemporaryDirectory(prefix="opbench-")
+    snapshot = Path(workdir.name) / "stream-state.npz"
+
+    def op(session, i, _workdir=workdir):  # the directory lives as long as the op
+        session.save(snapshot)
+        restored = new_session()
+        restored.restore(snapshot)
+        step(restored, i)
+        session.state = restored.state
+
+    return new_session, op
+
+
+OPS = {"drive": drive_op, "stream": stream_op, "resume": resume_op}
 
 
 def episode_ms(case, frames: int) -> list[float]:
