@@ -88,15 +88,25 @@ class Trajectory:
         return cls(waypoints=np.asarray(rec["waypoints"]), dt=float(rec["dt"]))
 
 
+def stack_trajectories(trajs) -> tuple[np.ndarray, float]:
+    """(K, N, 3) waypoints and the shared dt of a batch of trajectories;
+    ShapeError unless it is non-empty with one n and one dt."""
+    trajs = list(trajs)
+    if not trajs:
+        raise ShapeError("a batch needs at least one trajectory")
+    n, dt = trajs[0].n, trajs[0].dt
+    if any(t.n != n or t.dt != dt for t in trajs):
+        raise ShapeError("trajectories of one batch must share n and dt")
+    return np.stack([t.waypoints for t in trajs]), dt
+
+
 @dataclass
 class AnchorSet:
-    """K prototype trajectories used as diffusion initialization."""
+    """K prototype trajectories, one batch, used as diffusion initialization."""
 
     anchors: list[Trajectory]
 
     def __post_init__(self):
-        if len(self.anchors) < 1:
-            raise ShapeError("an AnchorSet needs at least one anchor")
         flat = self.stacked().reshape(len(self.anchors), -1)
         if len(np.unique(flat, axis=0)) != len(self.anchors):
             raise DataError("anchors must be pairwise distinct")
@@ -114,7 +124,7 @@ class AnchorSet:
         return self.anchors[0].dt
 
     def stacked(self) -> np.ndarray:
-        return np.stack([a.waypoints for a in self.anchors])
+        return stack_trajectories(self.anchors)[0]
 
     def to_json(self) -> list:
         return [a.to_json() for a in self.anchors]
@@ -168,7 +178,7 @@ class NoiseSchedule:
 
 def cluster_anchors(dataset, k: int, seed: int) -> AnchorSet:
     """K-means over flattened waypoint vectors (Lloyd with k-means++ init) of
-    `dataset`, a list of Trajectory or an (N, n, 3) waypoint array.
+    `dataset`, a list of Trajectory (one batch) or a finite (N, n, 3) array.
 
     Runs at most 100 iterations or until assignments stop changing; the
     centroids come back reshaped as trajectories. ConfigError for k < 1.
@@ -176,13 +186,13 @@ def cluster_anchors(dataset, k: int, seed: int) -> AnchorSet:
     if k < 1:
         raise ConfigError(f"k-means needs at least one cluster, got k={k}")
     if isinstance(dataset, (list, tuple)) and dataset and isinstance(dataset[0], Trajectory):
-        data = np.stack([t.waypoints for t in dataset])
-        dt = dataset[0].dt
+        data, dt = stack_trajectories(dataset)
     else:
-        data = np.asarray(dataset, dtype=np.float64)
-        dt = DT
+        data, dt = np.asarray(dataset, dtype=np.float64), DT
     if data.ndim != 3 or data.shape[2] != 3:
         raise ShapeError("dataset must stack (N, 3) waypoint arrays")
+    if not np.isfinite(data).all():
+        raise DataError("dataset waypoints must be finite")
     n_traj, n_wp, _ = data.shape
     if n_traj < k:
         raise DataError(f"{n_traj} trajectories cannot seed {k} clusters")

@@ -109,19 +109,12 @@ def gen_synthetic_frames(
 
 def gen_trajectory_dataset(n: int, seed: int) -> np.ndarray:
     """(n, DEFAULT_HORIZON, 3) smooth random trajectories on the DT grid:
-    constant speed, gentle yaw rate."""
+    constant speed, then gentle yaw rate, drawn per trajectory in that order."""
     rng = np.random.default_rng(seed)
-    out = np.empty((n, DEFAULT_HORIZON, 3))
-    for i in range(n):
-        speed = rng.uniform(2.0, 12.0)
-        yaw_rate = rng.uniform(-0.25, 0.25)
-        heading = 0.0
-        pos = np.zeros(2)
-        for k in range(DEFAULT_HORIZON):
-            heading += yaw_rate * DT
-            pos = pos + speed * DT * np.array([np.cos(heading), np.sin(heading)])
-            out[i, k] = (pos[0], pos[1], heading)
-    return out
+    speed, yaw_rate = rng.uniform([2.0, -0.25], [12.0, 0.25], size=(n, 2)).T
+    heading = np.cumsum(np.repeat(yaw_rate[:, None] * DT, DEFAULT_HORIZON, axis=1), axis=1)
+    step = (speed * DT)[:, None, None] * np.stack([np.cos(heading), np.sin(heading)], axis=2)
+    return np.concatenate([np.cumsum(step, axis=1), heading[..., None]], axis=2)
 
 
 def gen_synthetic_scene(seed: int, n_agents: int = 3) -> tuple[SceneEval, "np.ndarray"]:

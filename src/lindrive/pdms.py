@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .decoder import Trajectory
+from .decoder import Trajectory, stack_trajectories
 from .errors import ConfigError, DataError, ShapeError
 
 EGO_HALF_LENGTH = 2.3  # 4.6 m rectangle oriented by waypoint heading
@@ -184,25 +184,13 @@ def point_in_polygon(points, polygon) -> np.ndarray:
     return np.logical_xor.reduce(crosses & (x < np.where(crosses, x_at, np.inf)), axis=1)
 
 
-def _stack(trajs) -> tuple[np.ndarray, float]:
-    """(K, N, 3) waypoints and the shared dt of a batch of trajectories."""
-    trajs = list(trajs)
-    if not trajs:
-        raise ShapeError("a batch needs at least one trajectory")
-    n, dt = trajs[0].n, trajs[0].dt
-    if any(t.n != n or t.dt != dt for t in trajs):
-        raise ShapeError("trajectories of one batch must share n and dt")
-    return np.stack([t.waypoints for t in trajs]), dt
-
-
-def ego_poses_on_grid(trajs, grid_dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Ego poses linearly interpolated from (0,0,0) through the waypoints.
+def ego_poses_on_grid(wps: np.ndarray, dt: float, grid_dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Ego poses linearly interpolated from (0,0,0) through waypoints dt apart.
 
     Returns (T,) times covering [0, N*dt] and (K, T, 3) poses; headings
     interpolate on each trajectory's unwrapped angle sequence. The knots are
     shared, so this is np.interp evaluated for all K trajectories at once.
     """
-    wps, dt = _stack(trajs)
     k, n, _ = wps.shape
     n_steps = int(round(n * dt / grid_dt))
     times = np.arange(n_steps + 1) * grid_dt
@@ -218,7 +206,8 @@ def ego_poses_on_grid(trajs, grid_dt: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def first_overlap_time(
-    trajs,
+    wps: np.ndarray,
+    dt: float,
     agents: list[AgentState],
     ego_half_extents=(EGO_HALF_LENGTH, EGO_HALF_WIDTH),
     grid_dt: float = 0.005,
@@ -230,7 +219,7 @@ def first_overlap_time(
     center distance against the sum of the two circumradii, a necessary
     condition for overlap; one obb_overlap call then tests the survivors.
     """
-    times, ego = ego_poses_on_grid(trajs, grid_dt)
+    times, ego = ego_poses_on_grid(wps, dt, grid_dt)
     if not agents:
         return np.full(ego.shape[0], math.inf)
     agent_poses = np.stack([a.poses_at(times) for a in agents])  # (A, T, 3)
@@ -249,10 +238,9 @@ def first_overlap_time(
 # --- sub-scores ---------------------------------------------------------------
 
 
-def comfort_ok(trajs, a_max: float, j_max: float) -> np.ndarray:
+def comfort_ok(wps: np.ndarray, dt: float, a_max: float, j_max: float) -> np.ndarray:
     """(K,) comfort flags from finite differences of the waypoints only,
     so the check is invariant to translating a trajectory."""
-    wps, dt = _stack(trajs)
     vel = np.diff(wps[:, :, :2], axis=1) / dt
     acc = np.diff(vel, axis=1) / dt
     jerk = np.diff(acc, axis=1) / dt
@@ -262,10 +250,9 @@ def comfort_ok(trajs, a_max: float, j_max: float) -> np.ndarray:
     return (a_peak <= a_max) & (j_peak <= j_max)
 
 
-def arc_progress(trajs, centerline: np.ndarray) -> np.ndarray:
+def arc_progress(wps: np.ndarray, centerline: np.ndarray) -> np.ndarray:
     """(K,) arc-length progress along the centerline from the start pose to
     each final waypoint, via nearest-point projection onto the segments."""
-    wps, _ = _stack(trajs)
     seg = np.diff(centerline, axis=0)
     seg_len = np.hypot(seg[:, 0], seg[:, 1])
     cum = np.concatenate([[0.0], np.cumsum(seg_len)])
@@ -295,17 +282,16 @@ def score_batch(
     trajs, scene: SceneEval, cfg: ScoreConfig | None = None
 ) -> list[tuple[SubScores, float]]:
     """Sub-scores and PDMS of K trajectories in one scene, one array pass
-    per sub-score. The trajectories must share n and dt (decoder modes and
-    anchor sets do); otherwise ShapeError."""
+    per sub-score. The trajectories are one batch under stack_trajectories
+    (decoder modes and anchor sets are); otherwise ShapeError."""
     cfg = cfg or ScoreConfig()
-    trajs = list(trajs)
-    first_hit = first_overlap_time(trajs, scene.agents, cfg.ego_half_extents, cfg.grid_dt)
-    xy = np.concatenate([t.xy for t in trajs])
-    inside = point_in_polygon(xy, scene.drivable).reshape(len(trajs), -1)
-    comfort = comfort_ok(trajs, cfg.a_max, cfg.j_max)
-    ep = np.clip(arc_progress(trajs, scene.centerline) / scene.reference_progress, 0.0, 1.0)
+    wps, dt = stack_trajectories(trajs)
+    first_hit = first_overlap_time(wps, dt, scene.agents, cfg.ego_half_extents, cfg.grid_dt)
+    inside = point_in_polygon(wps[..., :2].reshape(-1, 2), scene.drivable).reshape(len(wps), -1)
+    comfort = comfort_ok(wps, dt, cfg.a_max, cfg.j_max)
+    ep = np.clip(arc_progress(wps, scene.centerline) / scene.reference_progress, 0.0, 1.0)
     out = []
-    for k in range(len(trajs)):
+    for k in range(len(wps)):
         subs = SubScores(
             nc=int(math.isinf(first_hit[k])),
             dac=int(inside[k].all()),

@@ -166,8 +166,7 @@ class RwkvBlockParams:
     def validate(self) -> None:
         """Check the shape of every tensor, one floating dtype for all, finite
         values, the LoRA ranks and the [0, 1] range of the mix vectors."""
-        if self.d % self.n_heads != 0:
-            raise ConfigError(f"n_heads={self.n_heads} must divide d={self.d}")
+        _check_heads(self.d, self.n_heads)
         if not np.issubdtype(self.dtype, np.floating):
             raise DataError(f"block tensors must be floating point, got {self.dtype}")
         h_ff = _cols(self.W_ffn_k)
@@ -185,6 +184,12 @@ class RwkvBlockParams:
                 raise ConfigError(f"{field} rank must be in [1, {self.d}]")
             if name.startswith("mu_") and (np.any(t < 0.0) or np.any(t > 1.0)):
                 raise ConfigError(f"{name} components must lie in [0, 1]")
+
+
+def _check_heads(d: int, n_heads) -> None:
+    """ConfigError unless n_heads is an integer >= 1 that divides d."""
+    if not (isinstance(n_heads, (int, np.integer)) and n_heads >= 1 and d % n_heads == 0):
+        raise ConfigError(f"n_heads={n_heads!r} must be an integer >= 1 that divides d={d}")
 
 
 def _cols(t) -> int:
@@ -256,8 +261,7 @@ class RecurrentState:
 
     @classmethod
     def zeros(cls, d: int, n_heads: int, n_layers: int = 1, dtype=np.float64):
-        if d % n_heads != 0:
-            raise ConfigError(f"n_heads={n_heads} must divide d={d}")
+        _check_heads(d, n_heads)
         hd = d // n_heads
         return cls(
             S=np.zeros((n_layers, n_heads, hd, hd), dtype=dtype),

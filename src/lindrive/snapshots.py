@@ -47,7 +47,7 @@ def save_params(path: str | Path, params: RwkvBlockParams) -> None:
 
 def load_params(path: str | Path) -> RwkvBlockParams:
     """Read a block written by save_params, validating every entry's shape
-    (ShapeError), one floating dtype and finite values (DataError)."""
+    (ShapeError), integer sizes, one floating dtype and finite values (DataError)."""
     tensors = _npz_entries(Path(path))
 
     def entry(name):
@@ -55,7 +55,13 @@ def load_params(path: str | Path) -> RwkvBlockParams:
             raise ShapeError(f"snapshot missing entry {name!r}")
         return tensors[name]
 
-    params = RwkvBlockParams.from_tensors(int(entry("d")), int(entry("n_heads")), entry)
+    sizes = {name: entry(name) for name in ("d", "n_heads")}
+    for name, value in sizes.items():
+        if value.ndim != 0:
+            raise ShapeError(f"snapshot entry {name!r} must be 0-d, got shape {value.shape}")
+        if not np.issubdtype(value.dtype, np.integer):
+            raise DataError(f"snapshot entry {name!r} must be an integer, got {value.dtype}")
+    params = RwkvBlockParams.from_tensors(int(sizes["d"]), int(sizes["n_heads"]), entry)
     params.validate()
     return params
 

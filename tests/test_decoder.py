@@ -132,11 +132,51 @@ class TestClusterAnchors:
         with pytest.raises(ConfigError, match="at least one cluster"):
             cluster_anchors(gen_trajectory_dataset(3, seed=7), k, seed=8)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_dataset_rejected(self, bad):
+        data = gen_trajectory_dataset(8, seed=11)
+        data[3, 2, 1] = bad
+        with pytest.raises(DataError, match="finite"):
+            cluster_anchors(data, 2, seed=12)
+
     def test_anchor_file_round_trip(self, tmp_path):
         anchors = cluster_anchors(gen_trajectory_dataset(10, seed=9), 4, seed=10)
         save_anchors(tmp_path / "anchors.json", anchors)
         back = load_anchors(tmp_path / "anchors.json")
         np.testing.assert_allclose(back.stacked(), anchors.stacked())
+
+
+# two trajectories that are not one batch, by waypoint count and by timestep
+MIXED_BATCHES = {
+    "n": [Trajectory(np.zeros((8, 3))), Trajectory(np.ones((6, 3)))],
+    "dt": [Trajectory(np.zeros((8, 3))), Trajectory(np.ones((8, 3)), dt=0.25)],
+}
+
+
+class TestTrajectoryBatch:
+    """A set of anchors is one batch: mixed n or dt is a ShapeError wherever
+    anchors are built."""
+
+    def test_empty_anchor_set(self):
+        with pytest.raises(ShapeError, match="at least one"):
+            AnchorSet([])
+
+    @pytest.mark.parametrize("mix", MIXED_BATCHES)
+    def test_anchor_set(self, mix):
+        with pytest.raises(ShapeError, match="share n and dt"):
+            AnchorSet(MIXED_BATCHES[mix])
+
+    @pytest.mark.parametrize("mix", MIXED_BATCHES)
+    def test_load_anchors(self, tmp_path, mix):
+        path = tmp_path / "anchors.json"
+        path.write_text(json.dumps([t.to_json() for t in MIXED_BATCHES[mix]]))
+        with pytest.raises(ShapeError, match="share n and dt"):
+            load_anchors(path)
+
+    @pytest.mark.parametrize("mix", MIXED_BATCHES)
+    def test_cluster_anchors(self, mix):
+        with pytest.raises(ShapeError, match="share n and dt"):
+            cluster_anchors(MIXED_BATCHES[mix], 1, seed=0)
 
 
 class TestCorruptAnchors:

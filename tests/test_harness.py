@@ -22,6 +22,23 @@ from lindrive.harness import (
 )
 
 
+def trajectory_dataset_loop(n, seed):
+    """gen_trajectory_dataset one trajectory and one waypoint at a time, the
+    reference its cumulative sums must match bit for bit."""
+    rng = np.random.default_rng(seed)
+    out = np.empty((n, harness.DEFAULT_HORIZON, 3))
+    for i in range(n):
+        speed = rng.uniform(2.0, 12.0)
+        yaw_rate = rng.uniform(-0.25, 0.25)
+        heading = 0.0
+        pos = np.zeros(2)
+        for k in range(harness.DEFAULT_HORIZON):
+            heading += yaw_rate * harness.DT
+            pos = pos + speed * harness.DT * np.array([np.cos(heading), np.sin(heading)])
+            out[i, k] = (pos[0], pos[1], heading)
+    return out
+
+
 class TestSoftmaxBaseline:
     def test_singleton_kv_returns_value_projection(self):
         params = random_softmax_params(4, seed=1, dtype=np.float64)
@@ -88,6 +105,13 @@ class TestGenerators:
         data = gen_trajectory_dataset(6, seed=10)
         assert data.shape == (6, 8, 3)
         assert np.isfinite(data).all()
+
+    @pytest.mark.parametrize("n", [1, 3, 64])
+    def test_trajectory_dataset_matches_loop(self, n):
+        for seed in range(40):
+            np.testing.assert_array_equal(
+                gen_trajectory_dataset(n, seed), trajectory_dataset_loop(n, seed)
+            )
 
     def test_scene_generator_valid(self):
         scene, wps = gen_synthetic_scene(11)

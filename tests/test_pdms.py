@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import pdms_reference as ref
-from lindrive.decoder import Trajectory
+from lindrive.decoder import Trajectory, stack_trajectories
 from lindrive.errors import ConfigError, DataError, ShapeError
 from lindrive.harness import gen_synthetic_scene, gen_trajectory_dataset
 from lindrive.pdms import (
@@ -151,7 +151,7 @@ class TestGeometry:
 
 class TestTtc:
     def test_no_agents_infinite(self):
-        assert first_overlap_time([straight_trajectory()], [])[0] == math.inf
+        assert first_overlap_time(*stack_trajectories([straight_trajectory()]), [])[0] == math.inf
 
     def test_head_on_closed_form(self):
         # closing at 10 m/s from 20 m -> first overlap at 2.0 s; near-point
@@ -163,7 +163,7 @@ class TestTtc:
             half_extents=np.array([0.05, 0.05]),
         )
         got = first_overlap_time(
-            [ego], [agent], ego_half_extents=(0.0, 0.0), grid_dt=0.005
+            *stack_trajectories([ego]), [agent], ego_half_extents=(0.0, 0.0), grid_dt=0.005
         )[0]
         assert abs(got - 2.0) <= 0.01
 
@@ -174,7 +174,7 @@ class TestTtc:
             velocity=np.array([0.0, 0.0]),
             half_extents=np.array([1.0, 1.0]),
         )
-        assert first_overlap_time([ego], [agent])[0] == 0.0
+        assert first_overlap_time(*stack_trajectories([ego]), [agent])[0] == 0.0
 
 
 class TestSubScores:
@@ -207,22 +207,27 @@ class TestSubScores:
         assert subs.nc == 0
         want = oracle_first_overlap(traj, scene.agents, cfg.ego_half_extents)
         assert math.isfinite(want)
-        got = first_overlap_time([traj], scene.agents, cfg.ego_half_extents, cfg.grid_dt)[0]
+        got = first_overlap_time(
+            *stack_trajectories([traj]), scene.agents, cfg.ego_half_extents, cfg.grid_dt
+        )[0]
         assert abs(got - want) <= cfg.grid_dt
 
     def test_comfort_thresholds(self):
         smooth = straight_trajectory(speed=5.0)
-        assert comfort_ok([smooth], a_max=2.4, j_max=8.0)[0]
+        assert comfort_ok(*stack_trajectories([smooth]), a_max=2.4, j_max=8.0)[0]
         jerky = smooth.waypoints.copy()
         jerky[4, 0] += 3.0
-        assert not comfort_ok([Trajectory(jerky)], a_max=2.4, j_max=8.0)[0]
+        assert not comfort_ok(*stack_trajectories([Trajectory(jerky)]), a_max=2.4, j_max=8.0)[0]
 
     def test_comfort_translation_invariant(self):
         rng = np.random.default_rng(1)
         wps = np.cumsum(rng.uniform(0.5, 2.0, (8, 3)), axis=0)
         base = Trajectory(wps)
         shifted = Trajectory(wps + np.array([100.0, -40.0, 0.0]))
-        assert comfort_ok([base], 2.4, 8.0)[0] == comfort_ok([shifted], 2.4, 8.0)[0]
+        assert (
+            comfort_ok(*stack_trajectories([base]), 2.4, 8.0)[0]
+            == comfort_ok(*stack_trajectories([shifted]), 2.4, 8.0)[0]
+        )
 
     def test_degenerate_centerline_rejected(self):
         with pytest.raises(DataError):
@@ -236,7 +241,7 @@ class TestSubScores:
     def test_progress_measured_along_centerline(self):
         scene = empty_scene()
         traj = straight_trajectory(speed=2.0)  # 8 m
-        assert abs(arc_progress([traj], scene.centerline)[0] - 8.0) < 1e-9
+        assert abs(arc_progress(stack_trajectories([traj])[0], scene.centerline)[0] - 8.0) < 1e-9
 
 
 class TestPdmsFormula:
@@ -395,13 +400,14 @@ class TestBroadcastScorer:
         cfg = ScoreConfig()
         for seed in range(4):
             trajs, scene = reference_case(100 + seed, n_agents=8)
-            hits = first_overlap_time(trajs, scene.agents, cfg.ego_half_extents, cfg.grid_dt)
+            wps, dt = stack_trajectories(trajs)
+            hits = first_overlap_time(wps, dt, scene.agents, cfg.ego_half_extents, cfg.grid_dt)
             want = [
                 ref.first_overlap_time(t, scene.agents, cfg.ego_half_extents, cfg.grid_dt)
                 for t in trajs
             ]
             np.testing.assert_array_equal(hits, want)
-            progress = arc_progress(trajs, scene.centerline)
+            progress = arc_progress(wps, scene.centerline)
             want = [ref.arc_progress(t, scene.centerline) for t in trajs]
             np.testing.assert_allclose(progress, want, rtol=0.0, atol=1e-12)
 

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from lindrive import rwkv7
+from lindrive.cross_attn import random_cross_attn_params
 from lindrive.errors import ConfigError, ContractError, DataError, NumericError, ShapeError
+from lindrive.fusion import random_fusion_params
 from lindrive.rwkv7 import (
     ElementSet,
     RecurrentState,
@@ -1131,3 +1133,35 @@ class TestProperties:
             denom = np.maximum(np.abs(grads["sequential"]), 1e-8)
             rel = np.abs(grads["chunked"] - grads["sequential"]) / denom
             assert np.max(rel) < 1e-3
+
+
+class TestHeadCount:
+    """n_heads is an integer >= 1 that divides d, else ConfigError, wherever
+    a block or a state is built."""
+
+    BAD = [0, -2, 3, 2.0]
+
+    @pytest.mark.parametrize("n_heads", BAD)
+    def test_validate(self, n_heads):
+        p = random_block_params(8, seed=120)
+        p.n_heads = n_heads
+        with pytest.raises(ConfigError, match="n_heads"):
+            p.validate()
+
+    @pytest.mark.parametrize("n_heads", BAD)
+    def test_random_block_params(self, n_heads):
+        with pytest.raises(ConfigError, match="n_heads"):
+            random_block_params(8, n_heads, seed=121)
+
+    @pytest.mark.parametrize("n_heads", BAD)
+    def test_state_zeros(self, n_heads):
+        with pytest.raises(ConfigError, match="n_heads"):
+            RecurrentState.zeros(8, n_heads)
+
+    def test_random_fusion_params(self):
+        with pytest.raises(ConfigError, match="n_heads"):
+            random_fusion_params(8, 1, 0, 4, seed=122)
+
+    def test_random_cross_attn_params(self):
+        with pytest.raises(ConfigError, match="n_heads"):
+            random_cross_attn_params(8, 0, seed=123)

@@ -117,6 +117,31 @@ class TestParamSchema:
         with pytest.raises(DataError):
             load_edited(tmp_path, to_int64)
 
+    @pytest.mark.parametrize("name", ["d", "n_heads"])
+    @pytest.mark.parametrize("value", [[8, 8], [2]], ids=["two-values", "one-value"])
+    def test_size_not_0d_rejected(self, tmp_path, name, value):
+        def to_array(tensors):
+            tensors[name] = np.array(value)
+
+        with pytest.raises(ShapeError, match=name):
+            load_edited(tmp_path, to_array)
+
+    @pytest.mark.parametrize("name,value", [("d", 8.5), ("d", 8.0), ("n_heads", 2.0)])
+    def test_size_not_integer_rejected(self, tmp_path, name, value):
+        def to_float(tensors):
+            tensors[name] = np.array(value)
+
+        with pytest.raises(DataError, match=name):
+            load_edited(tmp_path, to_float)
+
+    @pytest.mark.parametrize("n_heads", [0, -2])
+    def test_bad_head_count_rejected(self, tmp_path, n_heads):
+        def set_heads(tensors):
+            tensors["n_heads"] = np.array(n_heads)
+
+        with pytest.raises(ConfigError, match="n_heads"):
+            load_edited(tmp_path, set_heads)
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32-.npz", "float64-.npz"])
     def test_round_trip_exact(self, tmp_path, dtype):
         p = random_block_params(8, n_heads=2, seed=11, dtype=dtype)
