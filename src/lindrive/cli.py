@@ -183,8 +183,7 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_cluster(args) -> int:
-    payload = json.loads(Path(args.data).read_text())
-    trajs = [decoder.Trajectory.from_json(rec) for rec in payload]
+    trajs = decoder.trajectories_from_json(json.loads(Path(args.data).read_text()))
     anchors = decoder.cluster_anchors(trajs, args.k, harness.resolve_seed(args.seed))
     decoder.save_anchors(args.out, anchors)
     print(f"clustered {len(trajs)} trajectories into {anchors.k} anchors -> {args.out}")

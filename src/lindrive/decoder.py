@@ -85,7 +85,21 @@ class Trajectory:
 
     @classmethod
     def from_json(cls, rec: dict) -> "Trajectory":
-        return cls(waypoints=np.asarray(rec["waypoints"]), dt=float(rec["dt"]))
+        """The trajectory of a to_json record; DataError unless `rec` is an
+        object whose "waypoints" and "dt" are numbers."""
+        try:
+            waypoints, dt = np.asarray(rec["waypoints"], dtype=np.float64), float(rec["dt"])
+        except (KeyError, TypeError, ValueError) as err:
+            raise DataError(f"not a trajectory record ({type(err).__name__}: {err})") from None
+        return cls(waypoints=waypoints, dt=dt)
+
+
+def trajectories_from_json(payload: list) -> list[Trajectory]:
+    """The trajectories of a JSON array of Trajectory.to_json records;
+    DataError for any other structure."""
+    if not isinstance(payload, list):
+        raise DataError(f"a trajectory list is a JSON array, got {type(payload).__name__}")
+    return [Trajectory.from_json(rec) for rec in payload]
 
 
 def stack_trajectories(trajs) -> tuple[np.ndarray, float]:
@@ -131,7 +145,7 @@ class AnchorSet:
 
     @classmethod
     def from_json(cls, payload: list) -> "AnchorSet":
-        return cls([Trajectory.from_json(rec) for rec in payload])
+        return cls(trajectories_from_json(payload))
 
 
 def save_anchors(path, anchors: AnchorSet) -> None:

@@ -336,18 +336,23 @@ def scene_to_json(scene: SceneEval) -> dict:
 
 
 def scene_from_json(rec: dict) -> SceneEval:
-    return SceneEval(
-        agents=[
-            AgentState(
-                pose=np.asarray(a["pose"]),
-                velocity=np.asarray(a["velocity"]),
-                half_extents=np.asarray(a["half_extents"]),
-            )
+    """The scene of a scene_to_json record; DataError unless `rec` has that
+    structure, with numbers where scene_to_json writes them."""
+    try:
+        agents = [
+            {k: np.asarray(a[k], dtype=np.float64) for k in ("pose", "velocity", "half_extents")}
             for a in rec["agents"]
-        ],
-        drivable=np.asarray(rec["drivable"]),
-        centerline=np.asarray(rec["centerline"]),
-        reference_progress=float(rec["reference_progress"]),
+        ]
+        drivable = np.asarray(rec["drivable"], dtype=np.float64)
+        centerline = np.asarray(rec["centerline"], dtype=np.float64)
+        reference_progress = float(rec["reference_progress"])
+    except (KeyError, TypeError, ValueError) as err:
+        raise DataError(f"not a scene record ({type(err).__name__}: {err})") from None
+    return SceneEval(
+        agents=[AgentState(**a) for a in agents],
+        drivable=drivable,
+        centerline=centerline,
+        reference_progress=reference_progress,
     )
 
 

@@ -135,6 +135,22 @@ class TestExitCodes:
         )
         assert code == cli.EXIT_MISSING_FILE
 
+    @pytest.mark.parametrize("bad,payload", [("traj", [1]), ("scene", [1]), ("cluster-data", [1, 2])])
+    def test_malformed_json_is_bad_data(self, tmp_path, capsys, bad, payload):
+        traj, scene = tmp_path / "traj.json", tmp_path / "scene.json"
+        run(capsys, "demo", "--frames", "1", "--seed", "3", "--k", "2",
+            "--out", str(traj), "--scene-out", str(scene))
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        argv = {
+            "traj": ["score", "--traj", str(path), "--scene", str(scene)],
+            "scene": ["score", "--traj", str(traj), "--scene", str(path)],
+            "cluster-data": ["cluster", "--data", str(path), "--k", "1"],
+        }[bad]
+        code, _, err = run(capsys, *argv, "--out", str(tmp_path / "out"))
+        assert code == cli.EXIT_BAD_DATA
+        assert "record" in err and "Traceback" not in err
+
     def test_distinct_codes(self):
         codes = {
             cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_MISSING_FILE,

@@ -39,6 +39,17 @@ def make_bundle(d=8, n=4, seed=0):
     )
 
 
+# JSON values that are not a Trajectory.to_json record
+MALFORMED_TRAJECTORIES = {
+    "array": [1],
+    "number": 1,
+    "missing-dt": {"waypoints": [[0.0, 0.0, 0.0]]},
+    "null-dt": {"dt": None, "waypoints": [[0.0, 0.0, 0.0]]},
+    "ragged-waypoints": {"dt": 0.5, "waypoints": [[0.0, 0.0, 0.0], [1.0, 0.0]]},
+    "object-waypoints": {"dt": 0.5, "waypoints": {"x": 1.0}},
+}
+
+
 class TestTrajectory:
     def test_heading_wraps_on_construction(self):
         t = Trajectory(np.array([[0.0, 0.0, 4.0], [1.0, 0.0, -4.0]]))
@@ -72,6 +83,11 @@ class TestTrajectory:
         back = Trajectory.from_json(json.loads(json.dumps(t.to_json())))
         np.testing.assert_allclose(back.waypoints, t.waypoints)
         assert back.dt == t.dt
+
+    @pytest.mark.parametrize("rec", MALFORMED_TRAJECTORIES.values(), ids=MALFORMED_TRAJECTORIES)
+    def test_malformed_record_rejected(self, rec):
+        with pytest.raises(DataError, match="trajectory record"):
+            Trajectory.from_json(json.loads(json.dumps(rec)))
 
 
 class TestNoiseSchedule:
@@ -171,6 +187,17 @@ class TestTrajectoryBatch:
         path = tmp_path / "anchors.json"
         path.write_text(json.dumps([t.to_json() for t in MIXED_BATCHES[mix]]))
         with pytest.raises(ShapeError, match="share n and dt"):
+            load_anchors(path)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [[1], {"dt": 0.5, "waypoints": [[0.0, 0.0, 0.0]]}, 3],
+        ids=["array-of-numbers", "one-record", "number"],
+    )
+    def test_malformed_anchor_file(self, tmp_path, payload):
+        path = tmp_path / "anchors.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match="trajectory"):
             load_anchors(path)
 
     @pytest.mark.parametrize("mix", MIXED_BATCHES)

@@ -305,6 +305,27 @@ class TestSceneFiles:
         np.testing.assert_allclose(back.centerline, scene.centerline)
         assert back.reference_progress == scene.reference_progress
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda rec: [1],
+            lambda rec: {k: v for k, v in rec.items() if k != "drivable"},
+            lambda rec: {**rec, "agents": [1]},
+            lambda rec: {**rec, "agents": {"car": rec["agents"][0]}},
+            lambda rec: {**rec, "agents": [{"pose": [0.0, 0.0, 0.0]}]},
+            lambda rec: {**rec, "reference_progress": None},
+            lambda rec: {**rec, "centerline": [[0.0, 0.0], [1.0]]},
+        ],
+        ids=["array", "no-drivable", "agent-number", "agents-object", "agent-no-velocity",
+             "null-progress", "ragged-centerline"],
+    )
+    def test_malformed_scene_rejected(self, tmp_path, edit):
+        scene, _ = gen_synthetic_scene(3)
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(edit(scene_to_json(scene))))
+        with pytest.raises(DataError, match="scene record"):
+            load_scene(path)
+
     def test_report_format(self, tmp_path):
         scene, wps = gen_synthetic_scene(4)
         subs, score = score_trajectory(Trajectory(wps), scene)

@@ -1,7 +1,9 @@
 """Round-trip and validation tests for parameter/state snapshots."""
 
+import io
 import json
 import re
+import zipfile
 
 import numpy as np
 import pytest
@@ -325,6 +327,30 @@ def write_object_entry(path):
         np.savez(fh, S=np.array([{"S": 1}], dtype=object))
 
 
+def npy_bytes(array, version=None):
+    """`array` as a .npy file, in the header version numpy picks or `version`."""
+    buf = io.BytesIO()
+    np.lib.format.write_array(buf, array, version=version)
+    return buf.getvalue()
+
+
+def write_members(path, members, compression=zipfile.ZIP_STORED):
+    """A zip archive of `members`, each a name and its bytes."""
+    with zipfile.ZipFile(path, "w", compression) as archive:
+        for name, data in members.items():
+            archive.writestr(name, data)
+    return path
+
+
+def write_short_entry(path):
+    # the header says (4, 4); the body holds 15 values
+    write_members(path, {"S.npy": npy_bytes(np.zeros((4, 4)))[:-8]})
+
+
+def write_bad_magic(path):
+    write_members(path, {"S.npy": b"\x92" + npy_bytes(np.zeros((4, 4)))[1:]})
+
+
 class TestNotAnArchive:
     """A snapshot file that is not an .npz archive raises DataError, not
     numpy's ValueError; a missing file still raises FileNotFoundError."""
@@ -337,8 +363,11 @@ class TestNotAnArchive:
             lambda path: path.write_bytes(b"PK\x03\x04 truncated"),
             write_npy,
             write_object_entry,
+            write_short_entry,
+            write_bad_magic,
         ],
-        ids=["json-text", "empty", "truncated-zip", "npy-array", "object-entry"],
+        ids=["json-text", "empty", "truncated-zip", "npy-array", "object-entry",
+             "shape-not-bytes", "bad-magic"],
     )
     @pytest.mark.parametrize("load", [snapshots.load_state, snapshots.load_params],
                              ids=["load_state", "load_params"])
@@ -353,3 +382,79 @@ class TestNotAnArchive:
     def test_missing_file(self, tmp_path, load):
         with pytest.raises(FileNotFoundError):
             load(tmp_path / "absent.npz")
+
+
+def state_entries(state):
+    return {"S": state.S, "shift_tm": state.shift_tm, "shift_cm": state.shift_cm,
+            "tokens_seen": np.asarray(state.tokens_seen, dtype=np.int64)}
+
+
+class TestCodec:
+    """The archives save_state and save_params write are plain .npz files;
+    load_state reads what np.savez and np.savez_compressed write."""
+
+    STATE = random_state(8, 2, np.float32, seed=40)
+
+    @pytest.mark.parametrize("kind", ["float32-state", "float64-state", "params"])
+    def test_valid_zip_that_np_load_reads(self, tmp_path, kind):
+        path = tmp_path / "snapshot.npz"
+        if kind == "params":
+            snapshots.save_params(path, BLOCK)
+            expected = {**BLOCK.tensors(), "d": np.asarray(8), "n_heads": np.asarray(2)}
+        else:
+            state = random_state(8, 2, np.float32 if kind == "float32-state" else np.float64, seed=41)
+            snapshots.save_state(path, state)
+            expected = state_entries(state)
+        with zipfile.ZipFile(path) as archive:
+            assert archive.testzip() is None
+        with np.load(path) as data:
+            assert data.files == list(expected)
+            for name, value in expected.items():
+                assert (data[name].dtype, data[name].shape) == (value.dtype, value.shape), name
+                np.testing.assert_array_equal(data[name], value, err_msg=name)
+
+    def test_byte_stable(self, tmp_path):
+        # no clock in the archive: two saves of one state are the same file
+        first, second = tmp_path / "first.npz", tmp_path / "second.npz"
+        snapshots.save_state(first, self.STATE)
+        snapshots.save_state(second, self.STATE)
+        assert first.read_bytes() == second.read_bytes()
+        with zipfile.ZipFile(first) as archive:
+            assert {info.date_time for info in archive.infolist()} == {(1980, 1, 1, 0, 0, 0)}
+
+    @pytest.mark.parametrize("form", ["savez_compressed", "fortran-order", "big-endian", "npy-2.0"])
+    def test_reads_other_writers(self, tmp_path, form):
+        path = tmp_path / "state.npz"
+        entries = state_entries(self.STATE)
+        if form == "savez_compressed":
+            np.savez_compressed(path, **entries)
+        elif form == "fortran-order":
+            np.savez(path, **{k: np.asfortranarray(v) if v.ndim > 1 else v for k, v in entries.items()})
+        elif form == "big-endian":
+            np.savez(path, **{k: v.astype(v.dtype.newbyteorder(">")) for k, v in entries.items()})
+        else:
+            write_members(path, {f"{k}.npy": npy_bytes(v, (2, 0)) for k, v in entries.items()},
+                          zipfile.ZIP_DEFLATED)
+        # values and native dtypes as saved
+        assert_states_equal(snapshots.load_state(path), self.STATE)
+
+    def test_non_npy_member_ignored(self, tmp_path):
+        entries = {f"{k}.npy": npy_bytes(v) for k, v in state_entries(self.STATE).items()}
+        path = write_members(tmp_path / "state.npz", {**entries, "README.txt": b"notes"})
+        assert_states_equal(snapshots.load_state(path), self.STATE)
+
+    def test_corrupt_bytes_rejected_or_exact(self, tmp_path):
+        # byte flips and cuts anywhere raise a typed error or load the state exactly
+        path = tmp_path / "state.npz"
+        snapshots.save_state(path, self.STATE)
+        good = path.read_bytes()
+        rng = np.random.default_rng(42)
+        for _ in range(500):
+            data = bytearray(good)
+            data[rng.integers(len(data))] = rng.integers(256)
+            path.write_bytes(bytes(data[: rng.integers(len(data))] if rng.random() < 0.2 else data))
+            try:
+                loaded = snapshots.load_state(path)
+            except (DataError, ShapeError):
+                continue
+            assert_states_equal(loaded, self.STATE)
