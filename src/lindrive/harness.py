@@ -243,7 +243,9 @@ def run_scaling_bench(
     doubled and a measurement warning is emitted.
     """
     cfg = cfg or BenchConfig()
-    trials = max(1, trials if trials is not None else cfg.trials)
+    trials = cfg.trials if trials is None else trials
+    if trials < 1:
+        raise ConfigError(f"trials must be at least 1, got {trials}")
     if not set(modes) <= _STREAMS.keys():
         raise ConfigError(f"unknown bench mode in {modes!r}; known: {sorted(_STREAMS)}")
     points = [(mode, T) for mode in modes for T in frames_grid]

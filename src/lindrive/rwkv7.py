@@ -446,48 +446,64 @@ def _unit_lower_inverse(L):
         # the diagonal 2s-blocks of X as one (..., P / 2s, 2s, 2s) view
         blocks = np.ndarray(X.shape[:-2] + (P // (2 * s), 2 * s, 2 * s), X.dtype, X, 0,
                             X.strides[:-2] + (2 * s * (row + item), row, item))
-        blocks[..., s:, :s] = blocks[..., s:, s:] @ blocks[..., s:, :s] @ blocks[..., :s, :s]
+        np.matmul(blocks[..., s:, s:] @ blocks[..., s:, :s], blocks[..., :s, :s],
+                  out=blocks[..., s:, :s])
         s *= 2
     return X[..., :B, :B]
 
 
-def _prepare_run(w, khat, rw, brow, k_replace, v, B: int):
-    """What chunk_readouts needs of a run of n sub-chunks of B tokens that
-    does not read the state, batched with the sub-chunk index first.
+def _prepare(w, khat, rw, brow, k_replace, v):
+    """What chunk_readouts needs of sub-chunks of B tokens that does not read
+    the state.
 
-    The inputs are (n B, H, K) rows, v (n B, H, V). Returns, each with
-    leading (n, H): q = [khat F1; r F2] (2B, K); (I - L)^-1 (B, B); the
+    The inputs are (..., H, B, K) views, v (..., H, B, V): no leading axis
+    for one sub-chunk, (n,) for a run of n. Returns, each with the inputs'
+    leading axes: q = [khat F1; r F2] (2B, K); (I - L)^-1 (B, B); the
     readout rows of the masked scores (B, 2B); [G v; v] (2B, V), where G v
     is the state-free part of m's right-hand side; the decay F2_B (1, K);
     and c * decay (2B, K), with c = [brow / F2; k_replace / F2].
     """
-    nB, H, K = w.shape
-    n = nB // B
-
-    def by_chunk(x):  # (n B, H, K) -> (n, H, B, K)
-        return x.reshape(n, B, H, -1).transpose(0, 2, 1, 3)
-
+    *lead, B, K = w.shape
     # F[..., t, :] is the product of w over the steps before t: F1 drops the
     # last row, F2 the first
-    F = np.ones((n, H, B + 1, K), dtype=w.dtype)
-    np.cumprod(by_chunk(w), axis=2, out=F[:, :, 1:])
+    F = np.empty((*lead, B + 1, K), dtype=w.dtype)
+    F[..., 0, :] = 1
+    # np.cumprod is this accumulate behind a slower dispatch
+    np.multiply.accumulate(w, axis=-2, out=F[..., 1:, :])
+    F1, F2 = F[..., :-1, :], F[..., 1:, :]
     # filled in place: stacking the rows first and reshaping the products
     # made tile-sized copies that page-faulted afresh on every call
-    q = np.empty((n, H, 2, B, K), dtype=w.dtype)
+    q = np.empty((*lead, 2, B, K), dtype=w.dtype)
     c = np.empty_like(q)
-    for half, (query, key) in enumerate([(khat, brow), (rw, k_replace)]):
-        np.multiply(by_chunk(query), F[:, :, :-1], out=q[:, :, half])
-        np.divide(by_chunk(key), F[:, :, 1:], out=c[:, :, half])
-    q, c = q.reshape(n, H, 2 * B, K), c.reshape(n, H, 2 * B, K)
+    np.multiply(khat, F1, out=q[..., 0, :, :])
+    np.multiply(rw, F1, out=q[..., 1, :, :])
+    np.divide(brow, F2, out=c[..., 0, :, :])
+    np.divide(k_replace, F2, out=c[..., 1, :, :])
+    q, c = q.reshape(*lead, 2 * B, K), c.reshape(*lead, 2 * B, K)
     scores = q @ c.swapaxes(-1, -2)
     scores *= _score_mask(B)
     inv = _unit_lower_inverse(scores[..., :B, :B])
-    mv = np.empty((n, H, 2 * B, v.shape[-1]), dtype=v.dtype)
-    mv[:, :, B:] = by_chunk(v)
-    np.matmul(scores[..., :B, B:], mv[:, :, B:], out=mv[:, :, :B])
-    decay = F[:, :, -1:]
+    mv = np.empty((*lead, 2 * B, v.shape[-1]), dtype=v.dtype)
+    mv[..., B:, :] = v
+    np.matmul(scores[..., :B, B:], mv[..., B:, :], out=mv[..., :B, :])
+    decay = F[..., -1:, :]
     c *= decay
     return q, inv, scores[..., B:, :], mv, decay, c
+
+
+def _carry(S, prepared, y):
+    """Carry S through one sub-chunk, given its _prepare outputs without a
+    leading axis: writes the readouts into y (B, H, V), returns the new S."""
+    q, inv, readout, mv, decay, c_decay = prepared
+    B = inv.shape[-1]
+    # readouts of the incoming state: the rows m is solved from, then the
+    # outputs'
+    qS = q @ S.transpose(0, 2, 1)
+    rhs = qS[:, :B]
+    rhs += mv[:, :B]
+    np.matmul(inv, rhs, out=mv[:, :B])
+    np.add(qS[:, B:], readout @ mv, out=y.transpose(1, 0, 2))
+    return S * decay + mv.transpose(0, 2, 1) @ c_decay
 
 
 def chunk_readouts(S_in, h: ElementSet, r_heads, max_chunk: int = DEFAULT_CHUNK):
@@ -507,12 +523,14 @@ def chunk_readouts(S_in, h: ElementSet, r_heads, max_chunk: int = DEFAULT_CHUNK)
     m_t = S_{t-1} khat_t^T solve the unit-lower-triangular system
     (I - L) m = q S^T + G v; no per-step state is built.
 
-    Only the state carry is sequential. The full sub-chunks form one run and
-    a ragged tail another. _prepare_run computes everything of a run that
-    does not read the state in batched calls, (I - L)^-1 included, one
-    batched inverse per run; the loop over the run's sub-chunks carries the
-    state: q S^T, m as one matmul by (I - L)^-1, the readout and the state
-    update.
+    Only the state carry is sequential. _prepare computes everything of a
+    sub-chunk that does not read the state, (I - L)^-1 included; _carry
+    then carries the state through it: q S^T, m as one matmul by
+    (I - L)^-1, the readout and the state update. A call of at most
+    max_chunk tokens, as every streamed frame makes, is one sub-chunk:
+    prepared on (H, B, K) views and carried once. A longer call prepares its
+    full sub-chunks as one batched run, one batched inverse for all, and
+    carries them in turn; a ragged tail is one sub-chunk more.
     Every w exceeds W_LOWER_BOUND, so 1/F2 < W_LOWER_BOUND ** -DEFAULT_CHUNK
     (about 2.7e8): no float32 overflow, and each ratio's rounding is relative.
     """
@@ -526,19 +544,14 @@ def chunk_readouts(S_in, h: ElementSet, r_heads, max_chunk: int = DEFAULT_CHUNK)
     rows = (h.w, khat, r_heads * h.w, brow, h.k_replace, h.v)
     y = np.empty_like(r_heads)
     S = S_in
-    full = T - T % max_chunk
-    for lo, hi, B in ((0, full, max_chunk), (full, T, T - full)):
-        if hi == lo:
-            continue
-        run = _prepare_run(*(x[lo:hi] for x in rows), B)
-        for i, (q, inv, readout, mv, decay, c_decay) in enumerate(zip(*run)):
-            # readouts of the incoming state: the rows m is solved from, then
-            # the outputs'
-            qS = q @ S.transpose(0, 2, 1)
-            mv[:, :B] = inv @ (qS[:, :B] + mv[:, :B])
-            at = lo + i * B
-            y[at:at + B] = (qS[:, B:] + readout @ mv).transpose(1, 0, 2)
-            S = S * decay + mv.transpose(0, 2, 1) @ c_decay
+    full = T - T % max_chunk if T > max_chunk else 0
+    if full:
+        # (n B, H, K) rows -> (n, H, B, K) views
+        run = _prepare(*(x[:full].reshape(-1, max_chunk, *x.shape[1:]).swapaxes(1, 2) for x in rows))
+        for at, prepared in zip(range(0, full, max_chunk), zip(*run)):
+            S = _carry(S, prepared, y[at:at + max_chunk])
+    if full < T:
+        S = _carry(S, _prepare(*(x[full:].swapaxes(0, 1) for x in rows)), y[full:])
     return y, S
 
 

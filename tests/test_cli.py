@@ -75,6 +75,14 @@ class TestBench:
         )
         assert code == cli.EXIT_BAD_DATA
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_fewer_than_one_trial_rejected(self, tmp_path, capsys, trials):
+        out_path = tmp_path / "b.csv"
+        code, _, err = run(capsys, "bench", "--frames", "1", "--trials", trials, "--out", str(out_path))
+        assert code == cli.EXIT_BAD_DATA
+        assert "trials must be at least 1" in err
+        assert not out_path.exists()
+
 
 class TestCluster:
     def test_cluster_round_trip(self, tmp_path, capsys):

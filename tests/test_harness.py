@@ -190,6 +190,16 @@ class TestScalingBench:
         with pytest.raises(ConfigError):
             run_scaling_bench([1], trials=1, modes=("quadratic",))
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_fewer_than_one_trial(self, monkeypatch, trials):
+        # rejected before any stream runs, from the argument or the config
+        calls = self.fake_stream(monkeypatch, lambda T: 1e-3)
+        with pytest.raises(ConfigError, match="at least 1"):
+            run_scaling_bench([8], trials=trials, modes=("linear",))
+        with pytest.raises(ConfigError, match="at least 1"):
+            run_scaling_bench([8], cfg=BenchConfig(trials=trials), modes=("linear",))
+        assert calls == []
+
 
 class TestSeedResolution:
     def test_explicit_wins(self, monkeypatch):

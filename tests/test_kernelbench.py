@@ -6,15 +6,20 @@ import subprocess
 import sys
 from pathlib import Path
 
-BENCH = Path(__file__).resolve().parents[1] / "tools" / "kernelbench.py"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "tools" / "kernelbench.py"
+
+
+def run_quick(*args):
+    done = subprocess.run(
+        [sys.executable, str(BENCH), "--quick", *args], capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.strip().splitlines()[-1])
 
 
 def test_quick_run_names_every_case():
-    done = subprocess.run(
-        [sys.executable, str(BENCH), "--quick"], capture_output=True, text=True, timeout=300
-    )
-    assert done.returncode == 0, done.stderr
-    report = json.loads(done.stdout.strip().splitlines()[-1])
+    report = run_quick()
     want = {
         f"{dtype}/d{d}h{heads}/T{T}"
         for dtype, (d, heads), T in itertools.product(
@@ -25,3 +30,13 @@ def test_quick_run_names_every_case():
     for case in report["cases"].values():
         assert 0 < case["min_us"] <= case["median_us"]
     assert report["env"]["rounds"] == 3
+
+
+def test_against_times_the_other_tree():
+    # this checkout against itself: both trees time every case, one ratio
+    # per round
+    report = run_quick("--against", str(ROOT))
+    for case in report["cases"].values():
+        assert 0 < case["against"]["min_us"] <= case["against"]["median_us"]
+        assert case["pair_ratio"] > 0
+        assert 0 <= case["wins"] <= 3

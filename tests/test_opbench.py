@@ -19,11 +19,12 @@ def run_quick(*args):
 
 def test_quick_run_names_every_op():
     report = run_quick()
-    assert set(report["ops"]) == {"drive", "stream", "resume"}
+    assert set(report["ops"]) == {"drive", "stream", "resume", "drive_history", "stream_history"}
     for op in report["ops"].values():
         assert op["this"]["calls"]["python"] > 0
         assert op["this"]["calls"]["c"] > 0
         assert op["this"]["ms_per_op"] > 0
+        assert op["this"]["minflt_per_op"] >= 0
     assert report["env"]["passes"] == 2
 
 

@@ -13,6 +13,7 @@ from lindrive.cross_attn import random_cross_attn_params
 from lindrive.errors import ConfigError, ContractError, DataError, NumericError, ShapeError
 from lindrive.fusion import random_fusion_params
 from lindrive.rwkv7 import (
+    DEFAULT_CHUNK,
     ElementSet,
     RecurrentState,
     block_absorb,
@@ -493,6 +494,26 @@ class TestChunkForward:
             np.testing.assert_allclose(y, want_y, atol=1e-10)
             np.testing.assert_allclose(S, want_S, atol=1e-10)
         np.testing.assert_array_equal(S_in, before)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("d,n_heads", [(64, 1), (16, 4)])
+    @pytest.mark.parametrize("T", [33, 40, 64, 65, 100])
+    def test_split_at_sub_chunk_boundaries_is_bit_exact(self, T, d, n_heads, dtype):
+        # a call of many sub-chunks and consecutive calls of at most one
+        # sub-chunk each, carrying the state on, compute the same bits: a
+        # run's per-sub-chunk step is the one-sub-chunk call's
+        e = make_elements(T, d, n_heads, seed=17, dtype=dtype)
+        hd = d // n_heads
+        S_in = np.random.default_rng(18).standard_normal((n_heads, hd, hd)).astype(dtype)
+        h, r = e.heads(n_heads), e.r.reshape(T, n_heads, hd)
+        want_y, want_S = chunk_readouts(S_in, h, r)
+        S, parts = S_in, []
+        for lo in range(0, T, DEFAULT_CHUNK):
+            part = ElementSet(**{f: x[lo:lo + DEFAULT_CHUNK] for f, x in vars(h).items()})
+            y, S = chunk_readouts(S, part, r[lo:lo + DEFAULT_CHUNK])
+            parts.append(y)
+        np.testing.assert_array_equal(np.concatenate(parts), want_y)
+        np.testing.assert_array_equal(S, want_S)
 
     @pytest.mark.parametrize("B", [1, 2, 3, 8, 17, 32])
     def test_unit_lower_inverse(self, B):

@@ -6,11 +6,19 @@ through, over float32 and float64, (width, heads) in {(64, 1), (64, 4),
 random block projects from normal tokens, against a state the block left
 after a 64-token prefix. Repetitions are interleaved across cases, so a
 slow spell of the machine spreads over all of them; each case reports the
-median and the minimum microseconds per call. Every BLAS is pinned to one
-thread. The output is one JSON object.
+median and the minimum microseconds per call.
 
-    python tools/kernelbench.py           # 41 rounds per case
-    python tools/kernelbench.py --quick   # 3 rounds, for a smoke run
+With --against PATH it also loads the lindrive package of the checkout at
+PATH into this process, as tools/opbench.py does, and times its
+chunk_readouts on the same inputs, the two trees alternating round by round
+and swapping which runs first. Each case then also reports the other tree's
+median and minimum, the median over rounds of the pair ratio (this tree's
+time over the other's) and the rounds this tree won. Every BLAS is pinned to
+one thread. The output is one JSON object.
+
+    python tools/kernelbench.py                       # 41 rounds per case
+    python tools/kernelbench.py --against ../parent   # A/B against another checkout
+    python tools/kernelbench.py --quick               # 3 rounds, for a smoke run
 """
 
 from __future__ import annotations
@@ -30,18 +38,9 @@ import sys  # noqa: E402
 from pathlib import Path  # noqa: E402
 from time import perf_counter  # noqa: E402
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-
 import numpy as np  # noqa: E402
 
-from lindrive.rwkv7 import (  # noqa: E402
-    RecurrentState,
-    block_forward,
-    chunk_readouts,
-    layer_norm,
-    project_elements_seq,
-    random_block_params,
-)
+from opbench import ROOT, load_tree  # noqa: E402
 
 DTYPES = (np.float32, np.float64)
 BLOCKS = ((64, 1), (64, 4), (16, 4))
@@ -56,37 +55,72 @@ def case_name(dtype, d: int, heads: int, T: int) -> str:
     return f"{np.dtype(dtype).name}/d{d}h{heads}/T{T}"
 
 
-def make_case(dtype, d: int, heads: int, T: int, seed: int):
+def make_case(rwkv7, dtype, d: int, heads: int, T: int, seed: int):
     """(S_in, h, r_heads) as _block_tile hands them to chunk_readouts."""
-    params = random_block_params(d, heads, seed=seed, dtype=dtype)
-    state = RecurrentState.zeros(d, heads, dtype=dtype)
+    params = rwkv7.random_block_params(d, heads, seed=seed, dtype=dtype)
+    state = rwkv7.RecurrentState.zeros(d, heads, dtype=dtype)
     rng = np.random.default_rng(seed + 1)
-    block_forward(rng.standard_normal((PREFIX, d)).astype(dtype), params, state, "chunked")
+    rwkv7.block_forward(rng.standard_normal((PREFIX, d)).astype(dtype), params, state, "chunked")
     tokens = rng.standard_normal((T, d)).astype(dtype)
-    e = project_elements_seq(layer_norm(tokens, params.ln1_w, params.ln1_b), params, state)
+    e = rwkv7.project_elements_seq(rwkv7.layer_norm(tokens, params.ln1_w, params.ln1_b), params, state)
     h = e.heads(heads)
     return state.S[0].copy(), h, h.r
 
 
-def run(rounds: int) -> dict:
+def sample_us(kernel, args, calls: int) -> float:
+    """Microseconds per call over `calls` back-to-back calls."""
+    start = perf_counter()
+    for _ in range(calls):
+        kernel(*args)
+    return (perf_counter() - start) / calls * 1e6
+
+
+def run(trees: dict, rounds: int) -> dict:
+    """Samples of every tree's chunk_readouts on every case; the inputs are
+    built once, by the first tree, and each tree times the same calls."""
+    names = list(trees)
+    kernels = {tree: pkg.rwkv7.chunk_readouts for tree, pkg in trees.items()}
     cases = {}
     for dtype in DTYPES:
         for d, heads in BLOCKS:
             for T in LENGTHS:
-                args = make_case(dtype, d, heads, T, seed=len(cases))
-                chunk_readouts(*args)  # warm-up
-                start = perf_counter()
-                chunk_readouts(*args)
-                once = perf_counter() - start
+                args = make_case(trees[names[0]].rwkv7, dtype, d, heads, T, seed=len(cases))
+                for kernel in kernels.values():
+                    kernel(*args)  # warm-up
+                once = sample_us(kernels[names[0]], args, 1) * 1e-6
                 calls = max(1, int(SAMPLE_S / max(once, 1e-7)))
-                cases[case_name(dtype, d, heads, T)] = (args, calls, [])
-    for _ in range(rounds):
+                cases[case_name(dtype, d, heads, T)] = (args, calls, {tree: [] for tree in names})
+    for r in range(rounds):
         for args, calls, samples in cases.values():
-            start = perf_counter()
-            for _ in range(calls):
-                chunk_readouts(*args)
-            samples.append((perf_counter() - start) / calls * 1e6)
-    return {
+            for tree in names[r % 2:] + names[:r % 2]:
+                samples[tree].append(sample_us(kernels[tree], args, calls))
+    report = {}
+    for name, (_, calls, samples) in cases.items():
+        entry = {"median_us": round(statistics.median(samples["this"]), 2),
+                 "min_us": round(min(samples["this"]), 2), "calls_per_sample": calls}
+        if "against" in samples:
+            other = samples["against"]
+            ratios = [a / b for a, b in zip(samples["this"], other)]
+            entry["against"] = {"median_us": round(statistics.median(other), 2),
+                                "min_us": round(min(other), 2)}
+            entry["pair_ratio"] = round(statistics.median(ratios), 4)
+            entry["wins"] = sum(q < 1.0 for q in ratios)
+        report[name] = entry
+    return report
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--against", type=Path, help="checkout whose lindrive to compare with")
+    parser.add_argument("--quick", action="store_true", help="3 rounds, for a smoke run")
+    args = parser.parse_args(argv)
+    trees = {"this": load_tree(ROOT, "lindrive")}
+    if args.against is not None:
+        if not (args.against / "src" / "lindrive" / "__init__.py").is_file():
+            parser.error(f"{args.against} holds no src/lindrive package")
+        trees["against"] = load_tree(args.against, "lindrive_against")
+    rounds = 3 if args.quick else ROUNDS
+    print(json.dumps({
         "env": {
             "python": platform.python_version(),
             "numpy": np.__version__,
@@ -94,20 +128,10 @@ def run(rounds: int) -> dict:
             "cpus": os.cpu_count(),
             "blas_threads": 1,
             "rounds": rounds,
+            "against": None if args.against is None else str(args.against.resolve()),
         },
-        "cases": {
-            name: {"median_us": round(statistics.median(s), 2), "min_us": round(min(s), 2),
-                   "calls_per_sample": calls}
-            for name, (_, calls, s) in cases.items()
-        },
-    }
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true", help="3 rounds, for a smoke run")
-    args = parser.parse_args(argv)
-    print(json.dumps(run(3 if args.quick else ROUNDS)))
+        "cases": run(trees, rounds),
+    }))
     return 0
 
 

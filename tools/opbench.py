@@ -11,20 +11,26 @@ fusion stack):
     resume  stream's resume unit: FusionSession.save to a snapshot in a
             temporary directory, restore into a fresh FusionSession, step;
             the episode goes on from the restored state
+    drive_history   drive's history unit, float64: fuse_parallel over a
+            16-frame (512-token) window
+    stream_history  stream's history unit, float32: fuse_parallel over a
+            64-frame (2,048-token) window
 
 For each op it counts the Python-level and the C-level calls of one op
 after a warm-up episode (sys.setprofile "call" and "c_call" events). The
-op is the same frame of the same seeded inputs every time, so the counts
-repeat exactly for a given numpy and Python.
+op is the same frame or window of the same seeded inputs every time, so the
+counts repeat exactly for a given numpy and Python.
 
 It then times episodes of ops (16 frames of drive and resume, 64 of
-stream, each from a fresh session). With --against PATH it also loads the
-lindrive package of the checkout at PATH into this process, under another
-module name, and alternates the two trees pass by pass, swapping which
-runs first: a slow spell of the machine then falls on both. It reports each tree's median ms
-per op, the median over passes of the pair ratio (this tree's median op
-over the other's, per op kind) and the passes this tree won. Every BLAS is
-pinned to one thread. The output is one JSON object.
+stream, each from a fresh session; 8 windows of drive_history and 4 of
+stream_history, each shifted by one frame). With --against PATH it also
+loads the lindrive package of the checkout at PATH into this process, under
+another module name, and alternates the two trees pass by pass, swapping
+which runs first: a slow spell of the machine then falls on both. It
+reports each tree's median ms per op and median minor page faults
+(ru_minflt) per op, the median over passes of the pair ratio (this tree's
+median op over the other's, per op kind) and the passes this tree won.
+Every BLAS is pinned to one thread. The output is one JSON object.
 
     python tools/opbench.py                          # this tree, 40 passes
     python tools/opbench.py --against ../parent      # A/B against another checkout
@@ -44,6 +50,7 @@ import argparse  # noqa: E402
 import importlib.util  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
+import resource  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
@@ -57,8 +64,9 @@ D = 64
 L_CAM = L_LID = 16
 TOKENS = L_CAM + L_LID
 K = 16  # anchors, and so modes per frame
-# op -> frames per episode; drive and stream as perfbench's Drive and Stream
-FRAMES = {"drive": 16, "stream": 64, "resume": 16}
+# op -> frames or windows per episode; drive and stream as perfbench's
+# Drive and Stream
+FRAMES = {"drive": 16, "stream": 64, "resume": 16, "drive_history": 8, "stream_history": 4}
 COUNTED_FRAME = 3  # the frame whose op is counted
 PASSES = 40
 SEED = 14
@@ -136,19 +144,41 @@ def resume_op(pkg, frames: int, seed: int):
     return new_session, op
 
 
-OPS = {"drive": drive_op, "stream": stream_op, "resume": resume_op}
+def history_op(dtype, window: int):
+    """Builder of (no session, op(_, i)) for a history unit: fuse_parallel
+    over the `window` frames from frame i, in `dtype`."""
+
+    def build(pkg, frames: int, seed: int):
+        fusion, harness = pkg.fusion, pkg.harness
+        params = fusion.random_fusion_params(D, 2, 1, TOKENS, seed=seed + 1, dtype=dtype)
+        inputs = harness.gen_synthetic_frames(
+            window + frames - 1, seed + 7, l_camera=L_CAM, l_lidar=L_LID, d=D, dtype=dtype
+        )
+
+        def op(_, i):
+            fusion.fuse_parallel(fusion.build_frame_sequence(inputs[i:i + window], params.pos_emb), params)
+
+        return lambda: None, op
+
+    return build
 
 
-def episode_ms(case, frames: int) -> list[float]:
-    """ms of each op of one episode from a fresh session."""
+OPS = {"drive": drive_op, "stream": stream_op, "resume": resume_op,
+       "drive_history": history_op(np.float64, 16), "stream_history": history_op(np.float32, 64)}
+
+
+def episode(case, frames: int) -> tuple[list[float], float]:
+    """ms of each op of one episode from a fresh session, and the minor
+    page faults the process took per op."""
     new_session, op = case
     session = new_session()
     times = []
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for i in range(frames):
         t0 = perf_counter()
         op(session, i)
         times.append((perf_counter() - t0) * 1e3)
-    return times
+    return times, (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults) / frames
 
 
 def count_calls(case) -> dict:
@@ -175,20 +205,22 @@ def run(trees: dict, passes: int, frames: dict) -> dict:
     cases = {(tree, name): OPS[name](pkg, frames[name], SEED)
              for tree, pkg in trees.items() for name in OPS}
     for key, case in cases.items():  # warm-up: caches, lazy set-up
-        episode_ms(case, frames[key[1]])
+        episode(case, frames[key[1]])
     calls = {key: count_calls(case) for key, case in cases.items()}
     medians = {key: [] for key in cases}
+    faults = {key: [] for key in cases}
     names = list(trees)
     for p in range(passes):
         for name in OPS:
             for tree in names[p % 2:] + names[:p % 2]:
-                medians[(tree, name)].append(
-                    statistics.median(episode_ms(cases[(tree, name)], frames[name]))
-                )
+                times, per_op = episode(cases[(tree, name)], frames[name])
+                medians[(tree, name)].append(statistics.median(times))
+                faults[(tree, name)].append(per_op)
     report = {}
     for name in OPS:
         entry = {tree: {"calls": calls[(tree, name)],
-                        "ms_per_op": round(statistics.median(medians[(tree, name)]), 4)}
+                        "ms_per_op": round(statistics.median(medians[(tree, name)]), 4),
+                        "minflt_per_op": round(statistics.median(faults[(tree, name)]), 1)}
                  for tree in names}
         if "against" in trees:
             ratios = [a / b for a, b in zip(medians[("this", name)], medians[("against", name)])]
