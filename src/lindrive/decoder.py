@@ -116,13 +116,17 @@ def stack_trajectories(trajs) -> tuple[np.ndarray, float]:
 
 @dataclass
 class AnchorSet:
-    """K prototype trajectories, one batch, used as diffusion initialization."""
+    """K prototype trajectories, one batch, used as diffusion initialization.
+    The set is not edited after construction: it stacks and checks the
+    anchors once and keeps their (K, N, 3) waypoints, read-only."""
 
     anchors: list[Trajectory]
+    _stacked: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        flat = self.stacked().reshape(len(self.anchors), -1)
-        if len(np.unique(flat, axis=0)) != len(self.anchors):
+        self._stacked = stack_trajectories(self.anchors)[0]
+        self._stacked.flags.writeable = False
+        if len(np.unique(self._stacked.reshape(self.k, -1), axis=0)) != self.k:
             raise DataError("anchors must be pairwise distinct")
 
     @property
@@ -138,7 +142,7 @@ class AnchorSet:
         return self.anchors[0].dt
 
     def stacked(self) -> np.ndarray:
-        return stack_trajectories(self.anchors)[0]
+        return self._stacked
 
     def to_json(self) -> list:
         return [a.to_json() for a in self.anchors]
@@ -169,10 +173,13 @@ class NoiseSchedule:
 
     def __post_init__(self):
         self.betas = np.asarray(self.betas, dtype=np.float64)
-        if np.any(self.betas <= 0.0) or np.any(self.betas >= 1.0):
+        # written so that NaN betas fail
+        if not np.all((self.betas > 0.0) & (self.betas < 1.0)):
             raise ConfigError("beta values must lie in (0, 1)")
         if np.any(np.diff(self.betas) < 0.0):
             raise ConfigError("beta schedule must be non-decreasing")
+        if not isinstance(self.truncate_at, (int, np.integer)):
+            raise ConfigError(f"truncate_at must be an integer step, got {self.truncate_at!r}")
         if not 1 <= self.truncate_at <= self.total_steps:
             raise ConfigError("truncate_at must lie within the schedule")
         self.alpha_bars = np.concatenate([[1.0], np.cumprod(1.0 - self.betas)])
@@ -442,9 +449,10 @@ def decode(
     t_grid = np.linspace(sched.truncate_at, 0, steps + 1).round().astype(int)
     rng = np.random.default_rng(seed) if stochastic else None
     # the features are the same at every step: read them once per layer
+    bev_tokens = bev.tokens()
     states = [
         (
-            feature_state(bev.tokens(), lp.bev_attn.mixer),
+            feature_state(bev_tokens, lp.bev_attn.mixer),
             feature_state(agent_q.tokens, lp.agent_attn.mixer),
         )
         for lp in params.layers

@@ -124,6 +124,11 @@ class PdmsWeights:
     ttc: float = 5.0
     comfort: float = 2.0
 
+    def __post_init__(self):
+        w = (self.ep, self.ttc, self.comfort)
+        if not (all(math.isfinite(x) and x >= 0.0 for x in w) and sum(w) > 0.0):
+            raise ConfigError(f"PDMS weights must be finite and >= 0 with a positive sum, got {w}")
+
 
 @dataclass
 class SubScores:

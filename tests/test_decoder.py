@@ -107,6 +107,14 @@ class TestNoiseSchedule:
             NoiseSchedule(betas=np.array([0.0, 0.1]))
         with pytest.raises(ConfigError):
             NoiseSchedule(betas=np.array([0.1, 0.2]), truncate_at=5)
+        with pytest.raises(ConfigError, match="beta"):
+            NoiseSchedule(np.full(10, np.nan), truncate_at=5)
+        for truncate_at in (2.5, 5.0, "5"):
+            with pytest.raises(ConfigError, match="truncate_at"):
+                NoiseSchedule(np.linspace(1e-4, 2e-2, 10), truncate_at=truncate_at)
+
+    def test_numpy_integer_truncation_accepted(self):
+        assert NoiseSchedule(np.linspace(1e-4, 2e-2, 10), truncate_at=np.int64(5)).truncate_at == 5
 
 
 class TestClusterAnchors:
@@ -209,6 +217,12 @@ class TestTrajectoryBatch:
 class TestCorruptAnchors:
     def make_anchors(self, k=4, seed=11):
         return cluster_anchors(gen_trajectory_dataset(3 * k, seed=seed), k, seed=seed)
+
+    def test_anchor_stack_is_kept_read_only(self):
+        anchors = self.make_anchors()
+        first = anchors.stacked()
+        assert anchors.stacked() is first and not first.flags.writeable
+        np.testing.assert_array_equal(first, np.stack([a.waypoints for a in anchors.anchors]))
 
     def test_step_zero_identity(self):
         anchors = self.make_anchors()

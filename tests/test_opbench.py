@@ -1,4 +1,5 @@
-"""tools/opbench.py counts the calls of every op and times them."""
+"""tools/opbench.py counts the calls of every op, times them, counts their
+page faults and reports the working memory of the history rebuild."""
 
 import json
 import subprocess
@@ -17,20 +18,34 @@ def run_quick(*args):
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
+def check_tree(report, tree):
+    for op in report["ops"].values():
+        cost = op[tree]
+        assert cost["calls"]["python"] > 0
+        assert cost["calls"]["c"] > 0
+        assert cost["ms_per_op"] > 0
+        assert cost["sys_ms_per_op"] >= 0
+        assert 0 <= cost["minflt_min"] <= cost["minflt_per_op"] <= cost["minflt_max"]
+    peaks = report["fuse_peak_bytes"][tree]
+    assert set(peaks) == {"float32", "float64"}
+    for by_length in peaks.values():
+        assert set(by_length) == {"512", "2048", "8192"}
+        assert all(peak > 0 for peak in by_length.values())
+
+
 def test_quick_run_names_every_op():
     report = run_quick()
     assert set(report["ops"]) == {"drive", "stream", "resume", "drive_history", "stream_history"}
-    for op in report["ops"].values():
-        assert op["this"]["calls"]["python"] > 0
-        assert op["this"]["calls"]["c"] > 0
-        assert op["this"]["ms_per_op"] > 0
-        assert op["this"]["minflt_per_op"] >= 0
+    check_tree(report, "this")
+    assert set(report["fuse_peak_bytes"]) == {"this"}
     assert report["env"]["passes"] == 2
 
 
 def test_against_loads_the_other_tree():
     # this checkout against itself: the same calls, one ratio per pass
     report = run_quick("--against", str(ROOT))
+    check_tree(report, "this")
+    check_tree(report, "against")
     for op in report["ops"].values():
         assert op["against"]["calls"] == op["this"]["calls"]
         assert op["pair_ratio"] > 0

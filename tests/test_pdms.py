@@ -281,6 +281,19 @@ class TestPdmsFormula:
             if subs.nc * subs.dac == 0:
                 assert score == 0.0
 
+    @pytest.mark.parametrize(
+        "weights",
+        [(0.0, 0.0, 0.0), (-5.0, 5.0, 2.0), (5.0, math.nan, 2.0), (5.0, 5.0, math.inf)],
+        ids=["zero-sum", "negative", "nan", "inf"],
+    )
+    def test_bad_weights_rejected(self, weights):
+        with pytest.raises(ConfigError, match="weights"):
+            PdmsWeights(*weights)
+
+    def test_one_nonzero_weight_accepted(self):
+        subs = SubScores(nc=1, dac=1, ttc=0, comfort=0, ep=0.5)
+        assert pdms(subs, PdmsWeights(ep=1.0, ttc=0.0, comfort=0.0)) == 0.5
+
 
 class TestOracleAgreement:
     def test_nc_and_ttc_match_bruteforce_on_random_scenes(self):

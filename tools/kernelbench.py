@@ -23,24 +23,17 @@ one thread. The output is one JSON object.
 
 from __future__ import annotations
 
-import os
+import argparse
+import json
+import statistics
+import sys
+from pathlib import Path
+from time import perf_counter
 
-# must precede the first numpy import, which sizes the BLAS thread pool
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
-             "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
-    os.environ[_var] = "1"
+# before numpy: importing opbench pins every BLAS to one thread
+from opbench import trees_and_env  # isort: skip
 
-import argparse  # noqa: E402
-import json  # noqa: E402
-import platform  # noqa: E402
-import statistics  # noqa: E402
-import sys  # noqa: E402
-from pathlib import Path  # noqa: E402
-from time import perf_counter  # noqa: E402
-
-import numpy as np  # noqa: E402
-
-from opbench import ROOT, load_tree  # noqa: E402
+import numpy as np
 
 DTYPES = (np.float32, np.float64)
 BLOCKS = ((64, 1), (64, 4), (16, 4))
@@ -114,24 +107,9 @@ def main(argv=None) -> int:
     parser.add_argument("--against", type=Path, help="checkout whose lindrive to compare with")
     parser.add_argument("--quick", action="store_true", help="3 rounds, for a smoke run")
     args = parser.parse_args(argv)
-    trees = {"this": load_tree(ROOT, "lindrive")}
-    if args.against is not None:
-        if not (args.against / "src" / "lindrive" / "__init__.py").is_file():
-            parser.error(f"{args.against} holds no src/lindrive package")
-        trees["against"] = load_tree(args.against, "lindrive_against")
+    trees, env = trees_and_env(parser, args.against)
     rounds = 3 if args.quick else ROUNDS
-    print(json.dumps({
-        "env": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-            "cpus": os.cpu_count(),
-            "blas_threads": 1,
-            "rounds": rounds,
-            "against": None if args.against is None else str(args.against.resolve()),
-        },
-        "cases": run(trees, rounds),
-    }))
+    print(json.dumps({"env": {**env, "rounds": rounds}, "cases": run(trees, rounds)}))
     return 0
 
 

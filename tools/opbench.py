@@ -23,14 +23,23 @@ counts repeat exactly for a given numpy and Python.
 
 It then times episodes of ops (16 frames of drive and resume, 64 of
 stream, each from a fresh session; 8 windows of drive_history and 4 of
-stream_history, each shifted by one frame). With --against PATH it also
-loads the lindrive package of the checkout at PATH into this process, under
-another module name, and alternates the two trees pass by pass, swapping
-which runs first: a slow spell of the machine then falls on both. It
-reports each tree's median ms per op and median minor page faults
-(ru_minflt) per op, the median over passes of the pair ratio (this tree's
-median op over the other's, per op kind) and the passes this tree won.
-Every BLAS is pinned to one thread. The output is one JSON object.
+stream_history, each shifted by one frame). For each op it reports the
+medians over passes of the wall ms (ms_per_op) and the system-time ms
+(sys_ms_per_op) per op, and the median, min and max of the minor page
+faults (ru_minflt) per op: minflt_per_op, minflt_min and minflt_max. A
+fault count depends on what else ran in the process, so compare counts
+only between trees run the same way. Last, fuse_peak_bytes holds the
+tracemalloc peak of one fuse_parallel call above its input and its output,
+after a warm-up call, in float32 and float64 at 512, 2,048 and 8,192
+tokens: the working memory of the history rebuild.
+
+With --against PATH it also loads the lindrive package of the checkout at
+PATH into this process, under another module name, reports all of the
+above for both trees and alternates them pass by pass, swapping which runs
+first: a slow spell of the machine then falls on both. Each op also gets
+the median over passes of the pair ratio (this tree's median op over the
+other's) and the passes this tree won. Every BLAS is pinned to one thread.
+The output is one JSON object.
 
     python tools/opbench.py                          # this tree, 40 passes
     python tools/opbench.py --against ../parent      # A/B against another checkout
@@ -54,6 +63,7 @@ import resource  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
+import tracemalloc  # noqa: E402
 from pathlib import Path  # noqa: E402
 from time import perf_counter  # noqa: E402
 
@@ -69,6 +79,7 @@ K = 16  # anchors, and so modes per frame
 FRAMES = {"drive": 16, "stream": 64, "resume": 16, "drive_history": 8, "stream_history": 4}
 COUNTED_FRAME = 3  # the frame whose op is counted
 PASSES = 40
+PEAK_TOKENS = (512, 2048, 8192)
 SEED = 14
 
 
@@ -167,18 +178,20 @@ OPS = {"drive": drive_op, "stream": stream_op, "resume": resume_op,
        "drive_history": history_op(np.float64, 16), "stream_history": history_op(np.float32, 64)}
 
 
-def episode(case, frames: int) -> tuple[list[float], float]:
+def episode(case, frames: int) -> tuple[list[float], float, float]:
     """ms of each op of one episode from a fresh session, and the minor
-    page faults the process took per op."""
+    page faults and system-time ms the process took per op."""
     new_session, op = case
     session = new_session()
     times = []
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    before = resource.getrusage(resource.RUSAGE_SELF)
     for i in range(frames):
         t0 = perf_counter()
         op(session, i)
         times.append((perf_counter() - t0) * 1e3)
-    return times, (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults) / frames
+    after = resource.getrusage(resource.RUSAGE_SELF)
+    faults = (after.ru_minflt - before.ru_minflt) / frames
+    return times, faults, (after.ru_stime - before.ru_stime) * 1e3 / frames
 
 
 def count_calls(case) -> dict:
@@ -201,33 +214,80 @@ def count_calls(case) -> dict:
     return {"python": counts["call"], "c": counts["c_call"]}
 
 
+def fuse_peak_bytes(pkg, dtype, tokens: int) -> int:
+    """tracemalloc peak of one fuse_parallel call over `tokens` tokens, above
+    its input and its output, after a warm-up call."""
+    fusion = pkg.fusion
+    params = fusion.random_fusion_params(D, 2, 1, TOKENS, seed=SEED + 1, dtype=dtype)
+    inputs = pkg.harness.gen_synthetic_frames(
+        tokens // TOKENS, SEED + 7, l_camera=L_CAM, l_lidar=L_LID, d=D, dtype=dtype
+    )
+    seq = fusion.build_frame_sequence(inputs, params.pos_emb)
+    fusion.fuse_parallel(seq, params)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fusion.fuse_parallel(seq, params)
+        return tracemalloc.get_traced_memory()[1] - base - out.nbytes
+    finally:
+        tracemalloc.stop()
+
+
 def run(trees: dict, passes: int, frames: dict) -> dict:
     cases = {(tree, name): OPS[name](pkg, frames[name], SEED)
              for tree, pkg in trees.items() for name in OPS}
     for key, case in cases.items():  # warm-up: caches, lazy set-up
         episode(case, frames[key[1]])
     calls = {key: count_calls(case) for key, case in cases.items()}
-    medians = {key: [] for key in cases}
-    faults = {key: [] for key in cases}
+    # per pass: the median ms, the faults and the system ms per op
+    medians, faults, sys_ms = ({key: [] for key in cases} for _ in range(3))
     names = list(trees)
     for p in range(passes):
         for name in OPS:
             for tree in names[p % 2:] + names[:p % 2]:
-                times, per_op = episode(cases[(tree, name)], frames[name])
-                medians[(tree, name)].append(statistics.median(times))
-                faults[(tree, name)].append(per_op)
-    report = {}
+                key = (tree, name)
+                times, per_op, sys_per_op = episode(cases[key], frames[name])
+                medians[key].append(statistics.median(times))
+                faults[key].append(per_op)
+                sys_ms[key].append(sys_per_op)
+    ops = {}
     for name in OPS:
         entry = {tree: {"calls": calls[(tree, name)],
                         "ms_per_op": round(statistics.median(medians[(tree, name)]), 4),
-                        "minflt_per_op": round(statistics.median(faults[(tree, name)]), 1)}
+                        "sys_ms_per_op": round(statistics.median(sys_ms[(tree, name)]), 4),
+                        "minflt_per_op": round(statistics.median(faults[(tree, name)]), 1),
+                        "minflt_min": round(min(faults[(tree, name)]), 1),
+                        "minflt_max": round(max(faults[(tree, name)]), 1)}
                  for tree in names}
         if "against" in trees:
             ratios = [a / b for a, b in zip(medians[("this", name)], medians[("against", name)])]
             entry["pair_ratio"] = round(statistics.median(ratios), 4)
             entry["wins"] = sum(r < 1.0 for r in ratios)
-        report[name] = entry
-    return report
+        ops[name] = entry
+    peaks = {tree: {np.dtype(dtype).name: {str(t): fuse_peak_bytes(pkg, dtype, t) for t in PEAK_TOKENS}
+                    for dtype in (np.float32, np.float64)}
+             for tree, pkg in trees.items()}
+    return {"ops": ops, "fuse_peak_bytes": peaks}
+
+
+def trees_and_env(parser: argparse.ArgumentParser, against: Path | None) -> tuple[dict, dict]:
+    """The lindrive packages to run, "this" and with --against "against",
+    and the env block of the report; a usage error unless `against` holds
+    a src/lindrive package."""
+    trees = {"this": load_tree(ROOT, "lindrive")}
+    if against is not None:
+        if not (against / "src" / "lindrive" / "__init__.py").is_file():
+            parser.error(f"{against} holds no src/lindrive package")
+        trees["against"] = load_tree(against, "lindrive_against")
+    env = {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "machine": platform.machine(),
+        "cpus": os.cpu_count(),
+        "blas_threads": 1,
+        "against": None if against is None else str(against.resolve()),
+    }
+    return trees, env
 
 
 def main(argv=None) -> int:
@@ -238,25 +298,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.passes < 1:
         parser.error("--passes must be at least 1")
-    trees = {"this": load_tree(ROOT, "lindrive")}
-    if args.against is not None:
-        if not (args.against / "src" / "lindrive" / "__init__.py").is_file():
-            parser.error(f"{args.against} holds no src/lindrive package")
-        trees["against"] = load_tree(args.against, "lindrive_against")
+    trees, env = trees_and_env(parser, args.against)
     passes, frames = (2, {name: COUNTED_FRAME + 2 for name in OPS}) if args.quick else (args.passes, FRAMES)
-    print(json.dumps({
-        "env": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-            "cpus": os.cpu_count(),
-            "blas_threads": 1,
-            "passes": passes,
-            "frames": frames,
-            "against": None if args.against is None else str(args.against.resolve()),
-        },
-        "ops": run(trees, passes, frames),
-    }))
+    print(json.dumps({"env": {**env, "passes": passes, "frames": frames}, **run(trees, passes, frames)}))
     return 0
 
 
