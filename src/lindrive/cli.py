@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import cross_attn, decoder, fusion, harness, pdms, rwkv7
-from .errors import LindriveError
+from .errors import ConfigError, LindriveError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -31,6 +31,8 @@ EXIT_EQUIV_FAILED = 5
 
 
 def _cmd_equiv(args) -> int:
+    if args.cases < 1:
+        raise ConfigError(f"cases must be at least 1, got {args.cases}")
     seed = harness.resolve_seed(args.seed)
     rng = np.random.default_rng(seed)
     rows = []

@@ -60,10 +60,16 @@ class EgoStatus:
     command: Command = Command.FOLLOW
 
     def __post_init__(self):
-        if isinstance(self.command, str):
+        try:
             self.command = Command(self.command)
-        if not (np.isfinite(self.velocity) and np.isfinite(self.acceleration)):
-            raise DataError("ego status must be finite")
+        except ValueError:
+            raise DataError(f"command {self.command!r} is none of {[c.value for c in Command]}") from None
+        try:
+            finite = bool(np.isfinite(self.velocity) and np.isfinite(self.acceleration))
+        except TypeError:
+            finite = False
+        if not finite:
+            raise DataError("ego velocity and acceleration must be finite numbers")
 
     def features(self) -> np.ndarray:
         """[v, a, one-hot command], the input of the ego embedding."""
@@ -150,6 +156,9 @@ def build_frame_sequence(frames: list[FrameTokens], pos_emb: np.ndarray) -> np.n
         raise ContractError(f"frame indices must be strictly increasing, got {ts}")
     rows = []
     for f in frames:
+        # concatenating or adding pos_emb would promote a frame silently
+        if f.camera.dtype != pos_emb.dtype or f.lidar.dtype != pos_emb.dtype:
+            raise DataError(f"frame {f.t} dtype is not the positional table's {pos_emb.dtype}")
         toks = np.concatenate([f.camera, f.lidar])
         if toks.shape != pos_emb.shape:
             raise ShapeError(
@@ -180,9 +189,6 @@ def fuse_step(
     """
     if frame.d != params.d:
         raise ConfigError(f"frame width {frame.d} != fusion width {params.d}")
-    # adding pos_emb could promote the frame before forward_stack checks it
-    if {frame.camera.dtype, frame.lidar.dtype} != {params.dtype}:
-        raise DataError(f"frame {frame.t} dtype is not the params' {params.dtype}")
     seq = build_frame_sequence([frame], params.pos_emb)
     fused = forward_stack(seq, params.blocks, state, "chunked")
     return fused, state

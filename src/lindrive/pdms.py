@@ -114,8 +114,8 @@ class ScoreConfig:
         if not (self.a_max > 0.0 and self.j_max > 0.0):
             raise ConfigError(f"a_max and j_max must be positive, got {self.a_max}, {self.j_max}")
         ext = np.asarray(self.ego_half_extents, dtype=np.float64)
-        if ext.shape != (2,) or not (ext > 0.0).all():
-            raise ConfigError(f"ego half extents must be two positive values, got {ext}")
+        if ext.shape != (2,) or not (np.isfinite(ext) & (ext > 0.0)).all():
+            raise ConfigError(f"ego half extents must be two finite positive values, got {ext}")
 
 
 @dataclass

@@ -52,6 +52,12 @@ class TestEquiv:
         assert out1 == out2
         assert "PASS" in out1 and "FAIL" not in out1
 
+    @pytest.mark.parametrize("cases", ["0", "-4"])
+    def test_fewer_than_one_case_rejected(self, capsys, cases):
+        code, out, err = run(capsys, "equiv", "--cases", cases)
+        assert code == cli.EXIT_BAD_DATA
+        assert "cases must be at least 1" in err and out == ""
+
 
 class TestBench:
     def test_csv_schema(self, tmp_path, capsys):

@@ -155,11 +155,22 @@ class TestFusionModes:
         assert session.state.tokens_seen == 0 and session.frames_seen == 0
 
     def test_parallel_rejects_other_dtype(self):
-        # float64 frames plus the float32 table build a float64 sequence
         params = random_fusion_params(8, 2, 1, 8, seed=14, dtype=np.float32)
-        seq = build_frame_sequence(frames_fixture(2, seed=15), params.pos_emb)
+        seq = build_frame_sequence(frames_fixture(2, seed=15), params.pos_emb.astype(np.float64))
         with pytest.raises(DataError):
             fuse_parallel(seq, params)
+
+    @pytest.mark.parametrize(
+        "camera, lidar, table",
+        [(np.float64, np.float64, np.float32), (np.float32, np.float32, np.float64),
+         (np.float32, np.float64, np.float64)],
+    )
+    def test_sequence_rejects_other_dtype(self, camera, lidar, table):
+        # concatenation or the table would promote the frame silently
+        f = frames_fixture(1, seed=15)[0]
+        frame = FrameTokens(f.camera.astype(camera), f.lidar.astype(lidar), f.t)
+        with pytest.raises(DataError, match="dtype"):
+            build_frame_sequence([frame], np.zeros((8, 8), dtype=table))
 
 
 def fuse_peak_bytes(seq, params) -> int:
@@ -249,6 +260,14 @@ class TestBevAssembly:
         proj = random_bev_params(8, (2, 2), seed=17)
         with pytest.raises(error, match="lidar tokens"):
             assemble_bev(lidar, EgoStatus(0.0, 0.0), proj)
+
+    @pytest.mark.parametrize(
+        "args, match",
+        [((1.0, 0.0, "bogus"), "turn-left"), (("fast", 0.0), "finite"), ((1.0, np.inf), "finite")],
+    )
+    def test_bad_ego_status_rejected(self, args, match):
+        with pytest.raises(DataError, match=match):
+            EgoStatus(*args)
 
     def test_ego_command_onehot(self):
         ego = EgoStatus(1.0, 2.0, Command.TURN_LEFT)

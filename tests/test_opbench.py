@@ -1,6 +1,7 @@
 """tools/opbench.py counts the calls of every op, times them, counts their
 page faults and reports the working memory of the history rebuild."""
 
+import itertools
 import json
 import subprocess
 import sys
@@ -8,6 +9,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "tools" / "opbench.py"
+KERNEL_OPS = {
+    f"kernel/{dtype}/d{d}h{heads}/T{T}"
+    for dtype, (d, heads), T in itertools.product(
+        ("float32", "float64"), ((64, 1), (64, 4), (16, 4)), (8, 17, 32, 512)
+    )
+}
 
 
 def run_quick(*args):
@@ -23,7 +30,7 @@ def check_tree(report, tree):
         cost = op[tree]
         assert cost["calls"]["python"] > 0
         assert cost["calls"]["c"] > 0
-        assert cost["ms_per_op"] > 0
+        assert 0 < cost["ms_min"] <= cost["ms_per_op"]
         assert cost["sys_ms_per_op"] >= 0
         assert 0 <= cost["minflt_min"] <= cost["minflt_per_op"] <= cost["minflt_max"]
     peaks = report["fuse_peak_bytes"][tree]
@@ -35,7 +42,7 @@ def check_tree(report, tree):
 
 def test_quick_run_names_every_op():
     report = run_quick()
-    assert set(report["ops"]) == {"drive", "stream", "resume", "drive_history", "stream_history"}
+    assert set(report["ops"]) == {"drive", "stream", "resume", "drive_history", "stream_history"} | KERNEL_OPS
     check_tree(report, "this")
     assert set(report["fuse_peak_bytes"]) == {"this"}
     assert report["env"]["passes"] == 2
@@ -44,6 +51,7 @@ def test_quick_run_names_every_op():
 def test_against_loads_the_other_tree():
     # this checkout against itself: the same calls, one ratio per pass
     report = run_quick("--against", str(ROOT))
+    assert KERNEL_OPS <= set(report["ops"])
     check_tree(report, "this")
     check_tree(report, "against")
     for op in report["ops"].values():

@@ -479,6 +479,7 @@ class TestValidation:
             {"j_max": -8.0},
             {"ego_half_extents": (0.0, 0.9)},
             {"ego_half_extents": (2.3, -0.9)},
+            {"ego_half_extents": (math.inf, 0.9)},
         ],
     )
     def test_bad_score_config_rejected(self, kwargs):

@@ -15,6 +15,12 @@ fusion stack):
             16-frame (512-token) window
     stream_history  stream's history unit, float32: fuse_parallel over a
             64-frame (2,048-token) window
+    kernel/<dtype>/d<d>h<heads>/T<T>  24 ops, each one rwkv7.chunk_readouts
+            call, in float32 or float64, at (width, heads) (64, 1), (64, 4)
+            or (16, 4) and T = 8, 17, 32 or 512 tokens, on the elements a
+            seeded block projects after a 64-token prefix. The inputs are
+            built once, with this tree's rwkv7, so an --against tree only
+            has to accept the call.
 
 For each op it counts the Python-level and the C-level calls of one op
 after a warm-up episode (sys.setprofile "call" and "c_call" events). The
@@ -23,9 +29,10 @@ counts repeat exactly for a given numpy and Python.
 
 It then times episodes of ops (16 frames of drive and resume, 64 of
 stream, each from a fresh session; 8 windows of drive_history and 4 of
-stream_history, each shifted by one frame). For each op it reports the
-medians over passes of the wall ms (ms_per_op) and the system-time ms
-(sys_ms_per_op) per op, and the median, min and max of the minor page
+stream_history, each shifted by one frame; 16 calls of a kernel op). For
+each op it reports the median over passes of each pass's median wall ms
+per op (ms_per_op) and the fastest pass's (ms_min), the median system-time
+ms per op (sys_ms_per_op), and the median, min and max of the minor page
 faults (ru_minflt) per op: minflt_per_op, minflt_min and minflt_max. A
 fault count depends on what else ran in the process, so compare counts
 only between trees run the same way. Last, fuse_peak_bytes holds the
@@ -57,6 +64,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
 
 import argparse  # noqa: E402
 import importlib.util  # noqa: E402
+import itertools  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import resource  # noqa: E402
@@ -74,10 +82,8 @@ D = 64
 L_CAM = L_LID = 16
 TOKENS = L_CAM + L_LID
 K = 16  # anchors, and so modes per frame
-# op -> frames or windows per episode; drive and stream as perfbench's
-# Drive and Stream
-FRAMES = {"drive": 16, "stream": 64, "resume": 16, "drive_history": 8, "stream_history": 4}
 COUNTED_FRAME = 3  # the frame whose op is counted
+KERNEL_PREFIX = 64  # tokens the block runs before a kernel op's inputs
 PASSES = 40
 PEAK_TOKENS = (512, 2048, 8192)
 SEED = 14
@@ -174,8 +180,40 @@ def history_op(dtype, window: int):
     return build
 
 
+def kernel_op(dtype, d: int, heads: int, T: int, seed: int):
+    """Builder of (no session, op(_, i)): one chunk_readouts call on
+    (S_in, h, r_heads) as _block_tile hands them to it. The inputs are built
+    once, by the first tree built, which in run is this tree."""
+    inputs = []
+
+    def build(pkg, frames: int, _seed: int):
+        rwkv7 = pkg.rwkv7
+        if not inputs:
+            params = rwkv7.random_block_params(d, heads, seed=seed, dtype=dtype)
+            state = rwkv7.RecurrentState.zeros(d, heads, dtype=dtype)
+            rng = np.random.default_rng(seed + 1)
+            rwkv7.block_forward(rng.standard_normal((KERNEL_PREFIX, d)).astype(dtype), params, state, "chunked")
+            x = rwkv7.layer_norm(rng.standard_normal((T, d)).astype(dtype), params.ln1_w, params.ln1_b)
+            h = rwkv7.project_elements_seq(x, params, state).heads(heads)
+            inputs.extend((state.S[0].copy(), h, h.r))
+        kernel = rwkv7.chunk_readouts
+        return lambda: None, lambda _, i: kernel(*inputs)
+
+    return build
+
+
+KERNEL_OPS = {
+    f"kernel/{np.dtype(dtype).name}/d{d}h{heads}/T{T}": kernel_op(dtype, d, heads, T, seed)
+    for seed, (dtype, (d, heads), T) in enumerate(itertools.product(
+        (np.float32, np.float64), ((64, 1), (64, 4), (16, 4)), (8, 17, 32, 512)))
+}
 OPS = {"drive": drive_op, "stream": stream_op, "resume": resume_op,
-       "drive_history": history_op(np.float64, 16), "stream_history": history_op(np.float32, 64)}
+       "drive_history": history_op(np.float64, 16), "stream_history": history_op(np.float32, 64),
+       **KERNEL_OPS}
+# op -> frames, windows or calls per episode; drive and stream as
+# perfbench's Drive and Stream
+FRAMES = {"drive": 16, "stream": 64, "resume": 16, "drive_history": 8, "stream_history": 4,
+          **dict.fromkeys(KERNEL_OPS, 16)}
 
 
 def episode(case, frames: int) -> tuple[list[float], float, float]:
@@ -254,6 +292,7 @@ def run(trees: dict, passes: int, frames: dict) -> dict:
     for name in OPS:
         entry = {tree: {"calls": calls[(tree, name)],
                         "ms_per_op": round(statistics.median(medians[(tree, name)]), 4),
+                        "ms_min": round(min(medians[(tree, name)]), 4),
                         "sys_ms_per_op": round(statistics.median(sys_ms[(tree, name)]), 4),
                         "minflt_per_op": round(statistics.median(faults[(tree, name)]), 1),
                         "minflt_min": round(min(faults[(tree, name)]), 1),
@@ -270,26 +309,6 @@ def run(trees: dict, passes: int, frames: dict) -> dict:
     return {"ops": ops, "fuse_peak_bytes": peaks}
 
 
-def trees_and_env(parser: argparse.ArgumentParser, against: Path | None) -> tuple[dict, dict]:
-    """The lindrive packages to run, "this" and with --against "against",
-    and the env block of the report; a usage error unless `against` holds
-    a src/lindrive package."""
-    trees = {"this": load_tree(ROOT, "lindrive")}
-    if against is not None:
-        if not (against / "src" / "lindrive" / "__init__.py").is_file():
-            parser.error(f"{against} holds no src/lindrive package")
-        trees["against"] = load_tree(against, "lindrive_against")
-    env = {
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "machine": platform.machine(),
-        "cpus": os.cpu_count(),
-        "blas_threads": 1,
-        "against": None if against is None else str(against.resolve()),
-    }
-    return trees, env
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--against", type=Path, help="checkout whose lindrive to compare with")
@@ -298,9 +317,23 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.passes < 1:
         parser.error("--passes must be at least 1")
-    trees, env = trees_and_env(parser, args.against)
+    trees = {"this": load_tree(ROOT, "lindrive")}
+    if args.against is not None:
+        if not (args.against / "src" / "lindrive" / "__init__.py").is_file():
+            parser.error(f"{args.against} holds no src/lindrive package")
+        trees["against"] = load_tree(args.against, "lindrive_against")
     passes, frames = (2, {name: COUNTED_FRAME + 2 for name in OPS}) if args.quick else (args.passes, FRAMES)
-    print(json.dumps({"env": {**env, "passes": passes, "frames": frames}, **run(trees, passes, frames)}))
+    env = {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "machine": platform.machine(),
+        "cpus": os.cpu_count(),
+        "blas_threads": 1,
+        "passes": passes,
+        "frames": frames,
+        "against": None if args.against is None else str(args.against.resolve()),
+    }
+    print(json.dumps({"env": env, **run(trees, passes, frames)}))
     return 0
 
 
