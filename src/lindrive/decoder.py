@@ -173,6 +173,8 @@ class NoiseSchedule:
 
     def __post_init__(self):
         self.betas = np.asarray(self.betas, dtype=np.float64)
+        if self.betas.ndim != 1:
+            raise ConfigError(f"betas must be one 1-D schedule, got shape {self.betas.shape}")
         # written so that NaN betas fail
         if not np.all((self.betas > 0.0) & (self.betas < 1.0)):
             raise ConfigError("beta values must lie in (0, 1)")
@@ -202,10 +204,11 @@ def cluster_anchors(dataset, k: int, seed: int) -> AnchorSet:
     `dataset`, a list of Trajectory (one batch) or a finite (N, n, 3) array.
 
     Runs at most 100 iterations or until assignments stop changing; the
-    centroids come back reshaped as trajectories. ConfigError for k < 1.
+    centroids come back reshaped as trajectories. ConfigError unless k is
+    an integer >= 1.
     """
-    if k < 1:
-        raise ConfigError(f"k-means needs at least one cluster, got k={k}")
+    if not isinstance(k, (int, np.integer)) or k < 1:
+        raise ConfigError(f"k-means needs at least one cluster, as an integer; got k={k!r}")
     if isinstance(dataset, (list, tuple)) and dataset and isinstance(dataset[0], Trajectory):
         data, dt = stack_trajectories(dataset)
     else:
@@ -434,8 +437,8 @@ def decode(
 
     Deterministic under the seed.
     """
-    if steps < 1:
-        raise ConfigError("need at least one denoising step")
+    if not isinstance(steps, (int, np.integer)) or steps < 1:
+        raise ConfigError(f"need at least one denoising step, as an integer; got steps={steps!r}")
     if anchors.n != params.n_waypoints:
         raise ShapeError(
             f"anchors have {anchors.n} waypoints, decoder expects {params.n_waypoints}"

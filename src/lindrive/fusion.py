@@ -302,11 +302,15 @@ class FusionSession:
 
     def restore(self, path) -> None:
         """Resume from a snapshot of a session with the same layers, width,
-        heads and dtype; on a mismatch the current state is kept."""
+        heads and dtype, taken after a whole number of frames; on a mismatch
+        the current state is kept."""
         state = snapshots.load_state(path)
         S, ours = state.S, self.state.S
         if S.shape != ours.shape:
             raise ShapeError(f"snapshot S {S.shape} is not the session's {ours.shape}")
         if S.dtype != ours.dtype:
             raise DataError(f"snapshot dtype {S.dtype} is not the session's {ours.dtype}")
+        per_frame = self.params.pos_emb.shape[0]
+        if state.tokens_seen % per_frame:
+            raise DataError(f"snapshot holds {state.tokens_seen} tokens, not whole {per_frame}-token frames")
         self.state = state

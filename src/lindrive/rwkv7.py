@@ -506,14 +506,14 @@ def _carry(S, prepared, y):
     return S * decay + mv.transpose(0, 2, 1) @ c_decay
 
 
-def chunk_readouts(S_in, h: ElementSet, r_heads, max_chunk: int = DEFAULT_CHUNK):
+def chunk_readouts(S_in, h: ElementSet, r_heads):
     """Chunk-parallel delta rule: readouts y_t = S_t r_t^T for every token of
     `h` (ElementSet.heads) and the final state, equal to repeated state_step.
 
     `r_heads` is (T, n_heads, head_dim); returns (y, S_out) with y shaped like
-    `r_heads`. Tokens run in sub-chunks of max_chunk <= DEFAULT_CHUNK steps,
-    carrying the state across. Inside a sub-chunk this is the UT/WY form of
-    the chunked delta rule (Yang et al., arXiv 2406.06484) with the decay
+    `r_heads`. Tokens run in sub-chunks of DEFAULT_CHUNK steps, carrying the
+    state across. Inside a sub-chunk this is the UT/WY form of the chunked
+    delta rule (Yang et al., arXiv 2406.06484) with the decay
     made separable as in Gated Linear Attention (arXiv 2312.06635): with
     F2_t = w_0 ... w_t and F1_t = F2_{t-1}, a step-s write reaches step t's
     readout decayed by F1_t / F2_s (before step t's update) or F2_t / F2_s
@@ -527,15 +527,13 @@ def chunk_readouts(S_in, h: ElementSet, r_heads, max_chunk: int = DEFAULT_CHUNK)
     sub-chunk that does not read the state, (I - L)^-1 included; _carry
     then carries the state through it: q S^T, m as one matmul by
     (I - L)^-1, the readout and the state update. A call of at most
-    max_chunk tokens, as every streamed frame makes, is one sub-chunk:
+    DEFAULT_CHUNK tokens, as every streamed frame makes, is one sub-chunk:
     prepared on (H, B, K) views and carried once. A longer call prepares its
     full sub-chunks as one batched run, one batched inverse for all, and
     carries them in turn; a ragged tail is one sub-chunk more.
     Every w exceeds W_LOWER_BOUND, so 1/F2 < W_LOWER_BOUND ** -DEFAULT_CHUNK
     (about 2.7e8): no float32 overflow, and each ratio's rounding is relative.
     """
-    if not 1 <= max_chunk <= DEFAULT_CHUNK:
-        raise ConfigError(f"max_chunk must lie in [1, {DEFAULT_CHUNK}], got {max_chunk}")
     T = h.w.shape[0]
     khat, norm = _normalize_removal(h.k_removal)
     # removal row of the transition: transition_t = diag(w_t) + khat_t^T brow_t
@@ -544,12 +542,12 @@ def chunk_readouts(S_in, h: ElementSet, r_heads, max_chunk: int = DEFAULT_CHUNK)
     rows = (h.w, khat, r_heads * h.w, brow, h.k_replace, h.v)
     y = np.empty_like(r_heads)
     S = S_in
-    full = T - T % max_chunk if T > max_chunk else 0
+    full = T - T % DEFAULT_CHUNK if T > DEFAULT_CHUNK else 0
     if full:
         # (n B, H, K) rows -> (n, H, B, K) views
-        run = _prepare(*(x[:full].reshape(-1, max_chunk, *x.shape[1:]).swapaxes(1, 2) for x in rows))
-        for at, prepared in zip(range(0, full, max_chunk), zip(*run)):
-            S = _carry(S, prepared, y[at:at + max_chunk])
+        run = _prepare(*(x[:full].reshape(-1, DEFAULT_CHUNK, *x.shape[1:]).swapaxes(1, 2) for x in rows))
+        for at, prepared in zip(range(0, full, DEFAULT_CHUNK), zip(*run)):
+            S = _carry(S, prepared, y[at:at + DEFAULT_CHUNK])
     if full < T:
         S = _carry(S, _prepare(*(x[full:].swapaxes(0, 1) for x in rows)), y[full:])
     return y, S

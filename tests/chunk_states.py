@@ -8,16 +8,16 @@ kernel computes them. The tests compare those against repeated state_step.
 
 import numpy as np
 
-from lindrive.rwkv7 import DEFAULT_CHUNK, chunk_readouts
+from lindrive.rwkv7 import chunk_readouts
 
 
-def chunk_states(S_in, e, max_chunk=DEFAULT_CHUNK):
+def chunk_states(S_in, e):
     """(states, S_out): states[t] is the per-head state after token t."""
     H, hd, _ = S_in.shape
     cols = []
     for k in range(hd):
         basis = np.zeros((e.r.shape[0], H, hd), dtype=e.r.dtype)
         basis[..., k] = 1.0
-        y, S_out = chunk_readouts(S_in, e.heads(H), basis, max_chunk)
+        y, S_out = chunk_readouts(S_in, e.heads(H), basis)
         cols.append(y)
     return np.stack(cols, axis=-1), S_out

@@ -112,6 +112,11 @@ class TestNoiseSchedule:
         for truncate_at in (2.5, 5.0, "5"):
             with pytest.raises(ConfigError, match="truncate_at"):
                 NoiseSchedule(np.linspace(1e-4, 2e-2, 10), truncate_at=truncate_at)
+        # a (2, 3) table would read total_steps 2 while alpha_bars held 7
+        # entries of the flattened product
+        for betas in (np.full((2, 3), 0.01), np.float64(0.01)):
+            with pytest.raises(ConfigError, match="1-D"):
+                NoiseSchedule(betas, truncate_at=1)
 
     def test_numpy_integer_truncation_accepted(self):
         assert NoiseSchedule(np.linspace(1e-4, 2e-2, 10), truncate_at=np.int64(5)).truncate_at == 5
@@ -151,10 +156,13 @@ class TestClusterAnchors:
         with pytest.raises(DataError):
             cluster_anchors(gen_trajectory_dataset(3, seed=7), 5, seed=8)
 
-    @pytest.mark.parametrize("k", [0, -1])
+    @pytest.mark.parametrize("k", [0, -1, 2.5, np.float64(3.0), "3"])
     def test_fewer_than_one_cluster_rejected(self, k):
         with pytest.raises(ConfigError, match="at least one cluster"):
             cluster_anchors(gen_trajectory_dataset(3, seed=7), k, seed=8)
+
+    def test_numpy_integer_cluster_count_accepted(self):
+        assert cluster_anchors(gen_trajectory_dataset(8, seed=7), np.int64(3), seed=8).k == 3
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_dataset_rejected(self, bad):
@@ -353,6 +361,16 @@ class TestDecode:
     def test_bad_steps_rejected(self):
         with pytest.raises(ConfigError):
             decode(self.anchors, self.bundle, self.agent_q, self.params, steps=0)
+
+    @pytest.mark.parametrize("steps", [2.5, np.float64(2.0), "2"])
+    def test_non_integer_steps_rejected(self, steps):
+        with pytest.raises(ConfigError, match="integer"):
+            decode(self.anchors, self.bundle, self.agent_q, self.params, steps=steps)
+
+    def test_numpy_integer_steps_accepted(self):
+        a = decode(self.anchors, self.bundle, self.agent_q, self.params, steps=np.int64(2), seed=29)
+        b = decode(self.anchors, self.bundle, self.agent_q, self.params, steps=2, seed=29)
+        np.testing.assert_array_equal(a.confidence, b.confidence)
 
     def test_stochastic_flag_changes_path(self):
         det = decode(self.anchors, self.bundle, self.agent_q, self.params, seed=30)

@@ -404,6 +404,14 @@ class TestSessionAndFiles:
         save_state(tmp_path / "mixed.npz", bad)
         self.assert_restore_rejected(session, tmp_path / "mixed.npz", DataError)
 
+    def test_restore_rejects_part_of_a_frame(self, tmp_path):
+        # 5 tokens into 8-token frames: frames_seen would read 0
+        session = self.streamed_session()
+        bad = copy.deepcopy(session.state)
+        bad.tokens_seen = 5
+        save_state(tmp_path / "part.npz", bad)
+        self.assert_restore_rejected(session, tmp_path / "part.npz", DataError)
+
     def test_restore_rejects_non_finite(self, tmp_path):
         session = self.streamed_session()
         bad = copy.deepcopy(session.state)

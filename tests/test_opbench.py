@@ -1,11 +1,14 @@
 """tools/opbench.py counts the calls of every op, times them, counts their
 page faults and reports the working memory of the history rebuild."""
 
+import importlib.util
 import itertools
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import lindrive
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "tools" / "opbench.py"
@@ -58,3 +61,19 @@ def test_against_loads_the_other_tree():
         assert op["against"]["calls"] == op["this"]["calls"]
         assert op["pair_ratio"] > 0
         assert 0 <= op["wins"] <= 2
+
+
+def test_workloads_bind_their_tree():
+    # a bad swap would A/B a tree against itself and still print ratios
+    spec = importlib.util.spec_from_file_location("opbench", BENCH)
+    opbench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(opbench)
+    try:
+        other = opbench.load_tree(ROOT, "lindrive_other")
+        workloads = opbench.load_workloads(other)
+        assert workloads.fusion is other.fusion and workloads.decoder is other.decoder
+        assert workloads.fusion is not lindrive.fusion
+        assert sys.modules["lindrive"] is lindrive
+    finally:
+        for name in [name for name in sys.modules if name.split(".")[0] == "lindrive_other"]:
+            del sys.modules[name]

@@ -151,6 +151,17 @@ def make_elements(T, d, n_heads=1, seed=0, dtype=np.float64):
     )
 
 
+def split_readouts(S_in, h, r_heads, size):
+    """chunk_readouts as consecutive calls of at most `size` tokens, the
+    state carried on; T = 0 is one empty call."""
+    S, ys = S_in, []
+    for lo in range(0, max(len(r_heads), 1), size):
+        part = ElementSet(**{f: x[lo:lo + size] for f, x in vars(h).items()})
+        y, S = chunk_readouts(S, part, r_heads[lo:lo + size])
+        ys.append(y)
+    return np.concatenate(ys), S
+
+
 # ---------------------------------------------------------------------------
 # operators
 # ---------------------------------------------------------------------------
@@ -477,19 +488,20 @@ class TestChunkForward:
     @pytest.mark.parametrize("d,n_heads", [(8, 1), (16, 4)])
     @pytest.mark.parametrize("T", [0, 1, 32, 33, 95, 600])
     def test_split_invariance(self, T, d, n_heads):
-        # sub-chunks of 32, 16, 8, 5 or 4 tokens give the sequential
-        # readouts and final state, and leave the incoming state as it came;
-        # every length but 0 and 32 leaves a ragged tail for some size, 600
-        # tokens are longer than two 256-token tiles, and T = 0 reads out
-        # nothing and returns the incoming state
+        # one call, in sub-chunks of 32 tokens, and consecutive calls of 16,
+        # 8, 5 or 4 tokens, each one sub-chunk that long, give the
+        # sequential readouts and final state, and leave the incoming state
+        # as it came; every length but 0 and 32 leaves a ragged tail for some
+        # size, 600 tokens are longer than two 256-token tiles, and T = 0
+        # reads out nothing and returns the incoming state
         e = make_elements(T, d, n_heads, seed=15)
         hd = d // n_heads
         S_in = np.random.default_rng(16).standard_normal((n_heads, hd, hd))
         before = S_in.copy()
-        r = e.r.reshape(T, n_heads, hd)
-        want_y, want_S = sequential_readouts(S_in, e.heads(n_heads), r)
-        for size in (32, 16, 8, 5, 4):
-            y, S = chunk_readouts(S_in, e.heads(n_heads), r, max_chunk=size)
+        h, r = e.heads(n_heads), e.r.reshape(T, n_heads, hd)
+        want_y, want_S = sequential_readouts(S_in, h, r)
+        for size in (max(T, 1), 16, 8, 5, 4):
+            y, S = split_readouts(S_in, h, r, size)
             assert y.shape == r.shape
             np.testing.assert_allclose(y, want_y, atol=1e-10)
             np.testing.assert_allclose(S, want_S, atol=1e-10)
@@ -507,12 +519,8 @@ class TestChunkForward:
         S_in = np.random.default_rng(18).standard_normal((n_heads, hd, hd)).astype(dtype)
         h, r = e.heads(n_heads), e.r.reshape(T, n_heads, hd)
         want_y, want_S = chunk_readouts(S_in, h, r)
-        S, parts = S_in, []
-        for lo in range(0, T, DEFAULT_CHUNK):
-            part = ElementSet(**{f: x[lo:lo + DEFAULT_CHUNK] for f, x in vars(h).items()})
-            y, S = chunk_readouts(S, part, r[lo:lo + DEFAULT_CHUNK])
-            parts.append(y)
-        np.testing.assert_array_equal(np.concatenate(parts), want_y)
+        y, S = split_readouts(S_in, h, r, DEFAULT_CHUNK)
+        np.testing.assert_array_equal(y, want_y)
         np.testing.assert_array_equal(S, want_S)
 
     @pytest.mark.parametrize("B", [1, 2, 3, 8, 17, 32])
@@ -524,13 +532,6 @@ class TestChunkForward:
         got = rwkv7._unit_lower_inverse(L)
         assert got.shape == L.shape
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
-
-    @pytest.mark.parametrize("max_chunk", [0, rwkv7.DEFAULT_CHUNK + 1])
-    def test_max_chunk_out_of_range_raises(self, max_chunk):
-        # longer sub-chunks would leave the bound on the reciprocal decay
-        e = make_elements(40, 8, seed=17)
-        with pytest.raises(ConfigError, match="max_chunk"):
-            chunk_readouts(np.zeros((1, 8, 8)), e.heads(1), e.r.reshape(40, 1, 8), max_chunk)
 
     @pytest.mark.parametrize("d,n_heads", [(64, 1), (16, 4)])
     def test_decay_floor_single_precision(self, d, n_heads):

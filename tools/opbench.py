@@ -1,20 +1,19 @@
 """Per-op cost of the benchmark's rwkv7-bound ops, in one process.
 
-Builds the ops of the benchmark workloads with the same calls as
-perfbench/workloads.py, at its sizes (d=64, 32 tokens per frame, a 2-layer
-fusion stack):
+The five workload ops are perfbench's own units: each tree imports this
+checkout's perfbench/workloads.py against its own lindrive and sets up
+Drive and Stream as a run does (setup(), then round 0's inputs):
 
-    drive   one planning frame, float64: FusionSession.step, assemble_bev,
-            derive_agent_queries, decode (2 layers x 2 steps over 16
-            anchors), select_best and score_trajectory
-    stream  one fused frame, float32: FusionSession.step
-    resume  stream's resume unit: FusionSession.save to a snapshot in a
-            temporary directory, restore into a fresh FusionSession, step;
-            the episode goes on from the restored state
-    drive_history   drive's history unit, float64: fuse_parallel over a
-            16-frame (512-token) window
-    stream_history  stream's history unit, float32: fuse_parallel over a
-            64-frame (2,048-token) window
+    drive   Drive.plan, one planning frame, float64: FusionSession.step,
+            assemble_bev, derive_agent_queries, decode (2 layers x 2 steps
+            over 16 anchors), select_best and score_trajectory
+    stream  Stream's op, one fused frame, float32: FusionSession.step
+    resume  Stream.resume of a session that has streamed the round's 64
+            frames: save, restore into a fresh FusionSession, step
+    drive_history   Drive.history, float64: fuse_parallel over a 16-frame
+            (512-token) window
+    stream_history  Stream.history, float32: fuse_parallel over a 64-frame
+            (2,048-token) window
     kernel/<dtype>/d<d>h<heads>/T<T>  24 ops, each one rwkv7.chunk_readouts
             call, in float32 or float64, at (width, heads) (64, 1), (64, 4)
             or (16, 4) and T = 8, 17, 32 or 512 tokens, on the elements a
@@ -27,15 +26,16 @@ after a warm-up episode (sys.setprofile "call" and "c_call" events). The
 op is the same frame or window of the same seeded inputs every time, so the
 counts repeat exactly for a given numpy and Python.
 
-It then times episodes of ops (16 frames of drive and resume, 64 of
-stream, each from a fresh session; 8 windows of drive_history and 4 of
-stream_history, each shifted by one frame; 16 calls of a kernel op). For
-each op it reports the median over passes of each pass's median wall ms
-per op (ms_per_op) and the fastest pass's (ms_min), the median system-time
-ms per op (sys_ms_per_op), and the median, min and max of the minor page
-faults (ru_minflt) per op: minflt_per_op, minflt_min and minflt_max. A
-fault count depends on what else ran in the process, so compare counts
-only between trees run the same way. Last, fuse_peak_bytes holds the
+It then times episodes of ops (16 frames of drive, each episode from a
+fresh session, and 64 of stream; 16 resumes of the one streamed session;
+8 windows of drive_history, alternating, and 4 of stream_history, each
+shifted by one frame; 16 calls of a kernel op). For each op it reports the
+median over passes of each pass's median wall ms per op (ms_per_op) and
+the fastest pass's (ms_min), the median system-time ms per op
+(sys_ms_per_op), and the median, min and max of the minor page faults
+(ru_minflt) per op: minflt_per_op, minflt_min and minflt_max. A fault
+count depends on what else ran in the process, so compare counts only
+between trees run the same way. Last, fuse_peak_bytes holds the
 tracemalloc peak of one fuse_parallel call above its input and its output,
 after a warm-up call, in float32 and float64 at 512, 2,048 and 8,192
 tokens: the working memory of the history rebuild.
@@ -78,15 +78,12 @@ from time import perf_counter  # noqa: E402
 import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
-D = 64
-L_CAM = L_LID = 16
-TOKENS = L_CAM + L_LID
-K = 16  # anchors, and so modes per frame
+PERFBENCH = ROOT / "perfbench"
 COUNTED_FRAME = 3  # the frame whose op is counted
 KERNEL_PREFIX = 64  # tokens the block runs before a kernel op's inputs
 PASSES = 40
 PEAK_TOKENS = (512, 2048, 8192)
-SEED = 14
+SEED = 1  # perfbench/run.py's default --seed
 
 
 def load_tree(checkout: Path, name: str):
@@ -101,83 +98,45 @@ def load_tree(checkout: Path, name: str):
     return module
 
 
-def drive_op(pkg, frames: int, seed: int):
-    """(new session, op(session, i)) of perfbench's Drive, float64."""
-    fusion, decoder, harness, pdms = pkg.fusion, pkg.decoder, pkg.harness, pkg.pdms
-    params = fusion.random_fusion_params(D, 2, 1, TOKENS, seed=seed + 1)
-    bev = fusion.random_bev_params(D, (4, 4), seed=seed + 2)
-    dec = decoder.random_decoder_params(D, n_layers=2, n_agent_queries=8, seed=seed + 3)
-    anchors = decoder.cluster_anchors(harness.gen_trajectory_dataset(4 * K, seed + 4), K, seed + 5)
-    rng = np.random.default_rng(seed + 6)
-    commands = list(fusion.Command)
-    inputs = harness.gen_synthetic_frames(frames, seed + 7, l_camera=L_CAM, l_lidar=L_LID, d=D)
-    egos = [
-        fusion.EgoStatus(
-            velocity=rng.uniform(0.0, 15.0),
-            acceleration=rng.uniform(-2.0, 2.0),
-            command=commands[rng.integers(len(commands))],
-        )
-        for _ in range(frames)
-    ]
-    scenes = [harness.gen_synthetic_scene(int(x))[0] for x in rng.integers(2**31, size=frames)]
-    decode_seeds = [int(x) for x in rng.integers(2**31, size=frames)]
-
-    def op(session, i):
-        fused = session.step(inputs[i])
-        bundle = fusion.assemble_bev(fused[L_CAM:], egos[i], bev)
-        agent_q = decoder.derive_agent_queries(bundle, dec)
-        out = decoder.decode(anchors, bundle, agent_q, dec, steps=2, seed=decode_seeds[i])
-        best, _ = decoder.select_best(out)
-        pdms.score_trajectory(best, scenes[i])
-
-    return lambda: fusion.FusionSession(params), op
+def load_workloads(pkg):
+    """This checkout's perfbench/workloads.py, imported with `pkg` as its
+    lindrive; sys.modules["lindrive"], this tree's, is put back afterwards."""
+    saved = sys.modules["lindrive"]
+    sys.modules["lindrive"] = pkg
+    sys.path.insert(0, str(PERFBENCH))  # for its `import oracle`
+    try:
+        spec = importlib.util.spec_from_file_location(f"workloads_{pkg.__name__}", PERFBENCH / "workloads.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(PERFBENCH))
+        sys.modules["lindrive"] = saved
+    return module
 
 
-def stream_op(pkg, frames: int, seed: int):
-    """(new session, op(session, i)) of perfbench's Stream, float32."""
-    fusion, harness = pkg.fusion, pkg.harness
-    params = fusion.random_fusion_params(D, 2, 1, TOKENS, seed=seed + 1, dtype=np.float32)
-    inputs = harness.gen_synthetic_frames(
-        frames, seed + 7, l_camera=L_CAM, l_lidar=L_LID, d=D, dtype=np.float32
-    )
-    return lambda: fusion.FusionSession(params), lambda session, i: session.step(inputs[i])
+def workload_ops(wl, workdir: Path) -> dict:
+    """op name -> (new session, op(session, i)) of the Drive and Stream units
+    of workloads module `wl`, set up as a run sets them up."""
+    drive, stream = wl.Drive(SEED, workdir), wl.Stream(SEED, workdir)
+    drive.setup()
+    stream.setup()
+    ep, frames = drive.first, stream.first
+    streamed = wl.fusion.FusionSession(stream.params)  # as a round leaves it for its resumes
+    for frame in frames[:stream.FRAMES]:
+        streamed.step(frame)
 
+    def drive_history(_, i):
+        k = i % drive.HISTORIES
+        drive.history(ep["frames"][k:k + drive.FRAMES])
 
-def resume_op(pkg, frames: int, seed: int):
-    """(new session, op(session, i)) of perfbench's Stream resume unit. Every
-    op overwrites one snapshot file, as the unit does; the directory holding
-    it is removed with the op."""
-    new_session, step = stream_op(pkg, frames, seed)
-    workdir = tempfile.TemporaryDirectory(prefix="opbench-")
-    snapshot = Path(workdir.name) / "stream-state.npz"
-
-    def op(session, i, _workdir=workdir):  # the directory lives as long as the op
-        session.save(snapshot)
-        restored = new_session()
-        restored.restore(snapshot)
-        step(restored, i)
-        session.state = restored.state
-
-    return new_session, op
-
-
-def history_op(dtype, window: int):
-    """Builder of (no session, op(_, i)) for a history unit: fuse_parallel
-    over the `window` frames from frame i, in `dtype`."""
-
-    def build(pkg, frames: int, seed: int):
-        fusion, harness = pkg.fusion, pkg.harness
-        params = fusion.random_fusion_params(D, 2, 1, TOKENS, seed=seed + 1, dtype=dtype)
-        inputs = harness.gen_synthetic_frames(
-            window + frames - 1, seed + 7, l_camera=L_CAM, l_lidar=L_LID, d=D, dtype=dtype
-        )
-
-        def op(_, i):
-            fusion.fuse_parallel(fusion.build_frame_sequence(inputs[i:i + window], params.pos_emb), params)
-
-        return lambda: None, op
-
-    return build
+    return {
+        "drive": (lambda: wl.fusion.FusionSession(drive.params), lambda session, i: drive.plan(session, ep, i)),
+        "stream": (lambda: wl.fusion.FusionSession(stream.params), lambda session, i: session.step(frames[i])),
+        "resume": (lambda: streamed,
+                   lambda session, i: stream.resume(session, frames[stream.FRAMES + i % wl.RESUMES])),
+        "drive_history": (lambda: None, drive_history),
+        "stream_history": (lambda: None, lambda _, i: stream.history(frames[i:i + stream.FRAMES])),
+    }
 
 
 def kernel_op(dtype, d: int, heads: int, T: int, seed: int):
@@ -186,7 +145,7 @@ def kernel_op(dtype, d: int, heads: int, T: int, seed: int):
     once, by the first tree built, which in run is this tree."""
     inputs = []
 
-    def build(pkg, frames: int, _seed: int):
+    def build(pkg):
         rwkv7 = pkg.rwkv7
         if not inputs:
             params = rwkv7.random_block_params(d, heads, seed=seed, dtype=dtype)
@@ -207,9 +166,6 @@ KERNEL_OPS = {
     for seed, (dtype, (d, heads), T) in enumerate(itertools.product(
         (np.float32, np.float64), ((64, 1), (64, 4), (16, 4)), (8, 17, 32, 512)))
 }
-OPS = {"drive": drive_op, "stream": stream_op, "resume": resume_op,
-       "drive_history": history_op(np.float64, 16), "stream_history": history_op(np.float32, 64),
-       **KERNEL_OPS}
 # op -> frames, windows or calls per episode; drive and stream as
 # perfbench's Drive and Stream
 FRAMES = {"drive": 16, "stream": 64, "resume": 16, "drive_history": 8, "stream_history": 4,
@@ -252,13 +208,14 @@ def count_calls(case) -> dict:
     return {"python": counts["call"], "c": counts["c_call"]}
 
 
-def fuse_peak_bytes(pkg, dtype, tokens: int) -> int:
-    """tracemalloc peak of one fuse_parallel call over `tokens` tokens, above
-    its input and its output, after a warm-up call."""
-    fusion = pkg.fusion
-    params = fusion.random_fusion_params(D, 2, 1, TOKENS, seed=SEED + 1, dtype=dtype)
-    inputs = pkg.harness.gen_synthetic_frames(
-        tokens // TOKENS, SEED + 7, l_camera=L_CAM, l_lidar=L_LID, d=D, dtype=dtype
+def fuse_peak_bytes(wl, dtype, tokens: int) -> int:
+    """tracemalloc peak of one fuse_parallel call over `tokens` tokens at the
+    sizes of workloads module `wl`, above its input and its output, after a
+    warm-up call."""
+    fusion = wl.fusion
+    params = fusion.random_fusion_params(wl.D, 2, 1, wl.TOKENS, seed=SEED + 1, dtype=dtype)
+    inputs = wl.harness.gen_synthetic_frames(
+        tokens // wl.TOKENS, SEED + 7, l_camera=wl.L_CAM, l_lidar=wl.L_LID, d=wl.D, dtype=dtype
     )
     seq = fusion.build_frame_sequence(inputs, params.pos_emb)
     fusion.fuse_parallel(seq, params)
@@ -271,9 +228,14 @@ def fuse_peak_bytes(pkg, dtype, tokens: int) -> int:
         tracemalloc.stop()
 
 
-def run(trees: dict, passes: int, frames: dict) -> dict:
-    cases = {(tree, name): OPS[name](pkg, frames[name], SEED)
-             for tree, pkg in trees.items() for name in OPS}
+def run(trees: dict, passes: int, frames: dict, workdir: Path) -> dict:
+    workloads = {tree: load_workloads(pkg) for tree, pkg in trees.items()}
+    cases = {}
+    for tree, pkg in trees.items():
+        (workdir / tree).mkdir()
+        ops = {**workload_ops(workloads[tree], workdir / tree),
+               **{name: build(pkg) for name, build in KERNEL_OPS.items()}}
+        cases.update({(tree, name): case for name, case in ops.items()})
     for key, case in cases.items():  # warm-up: caches, lazy set-up
         episode(case, frames[key[1]])
     calls = {key: count_calls(case) for key, case in cases.items()}
@@ -281,7 +243,7 @@ def run(trees: dict, passes: int, frames: dict) -> dict:
     medians, faults, sys_ms = ({key: [] for key in cases} for _ in range(3))
     names = list(trees)
     for p in range(passes):
-        for name in OPS:
+        for name in FRAMES:
             for tree in names[p % 2:] + names[:p % 2]:
                 key = (tree, name)
                 times, per_op, sys_per_op = episode(cases[key], frames[name])
@@ -289,7 +251,7 @@ def run(trees: dict, passes: int, frames: dict) -> dict:
                 faults[key].append(per_op)
                 sys_ms[key].append(sys_per_op)
     ops = {}
-    for name in OPS:
+    for name in FRAMES:
         entry = {tree: {"calls": calls[(tree, name)],
                         "ms_per_op": round(statistics.median(medians[(tree, name)]), 4),
                         "ms_min": round(min(medians[(tree, name)]), 4),
@@ -303,9 +265,9 @@ def run(trees: dict, passes: int, frames: dict) -> dict:
             entry["pair_ratio"] = round(statistics.median(ratios), 4)
             entry["wins"] = sum(r < 1.0 for r in ratios)
         ops[name] = entry
-    peaks = {tree: {np.dtype(dtype).name: {str(t): fuse_peak_bytes(pkg, dtype, t) for t in PEAK_TOKENS}
+    peaks = {tree: {np.dtype(dtype).name: {str(t): fuse_peak_bytes(wl, dtype, t) for t in PEAK_TOKENS}
                     for dtype in (np.float32, np.float64)}
-             for tree, pkg in trees.items()}
+             for tree, wl in workloads.items()}
     return {"ops": ops, "fuse_peak_bytes": peaks}
 
 
@@ -322,7 +284,7 @@ def main(argv=None) -> int:
         if not (args.against / "src" / "lindrive" / "__init__.py").is_file():
             parser.error(f"{args.against} holds no src/lindrive package")
         trees["against"] = load_tree(args.against, "lindrive_against")
-    passes, frames = (2, {name: COUNTED_FRAME + 2 for name in OPS}) if args.quick else (args.passes, FRAMES)
+    passes, frames = (2, dict.fromkeys(FRAMES, COUNTED_FRAME + 2)) if args.quick else (args.passes, FRAMES)
     env = {
         "python": platform.python_version(),
         "numpy": np.__version__,
@@ -333,7 +295,8 @@ def main(argv=None) -> int:
         "frames": frames,
         "against": None if args.against is None else str(args.against.resolve()),
     }
-    print(json.dumps({"env": env, **run(trees, passes, frames)}))
+    with tempfile.TemporaryDirectory(prefix="opbench-") as workdir:
+        print(json.dumps({"env": env, **run(trees, passes, frames, Path(workdir))}))
     return 0
 
 
