@@ -40,25 +40,26 @@ def _cmd_equiv(args) -> int:
     def check(name, ok, detail=""):
         rows.append((name, bool(ok), detail))
 
-    # sequential vs chunk-parallel recurrence over a config sweep
+    # sequential vs chunk-parallel recurrence over a config sweep; the
+    # configs share the cases, the first `extra` of them one more each
+    configs = [(d, n_heads, B) for d, n_heads in ((8, 1), (16, 4), (64, 4))
+               for B in (1, 4, 16, 64)]
+    per_config, extra = divmod(args.cases, len(configs))
     worst = 0.0
-    cases = 0
-    for d, n_heads in ((8, 1), (16, 4), (64, 4)):
-        for B in (1, 4, 16, 64):
-            for _ in range(max(1, args.cases // 12)):
-                p = rwkv7.random_block_params(d, n_heads, seed=int(rng.integers(2**31)))
-                tokens = rng.standard_normal((B, d))
-                s1 = rwkv7.RecurrentState.zeros(d, n_heads)
-                s2 = rwkv7.RecurrentState.zeros(d, n_heads)
-                out_s, _ = rwkv7.block_forward(tokens, p, s1, "sequential")
-                out_c, _ = rwkv7.block_forward(tokens, p, s2, "chunked")
-                worst = max(
-                    worst,
-                    float(np.max(np.abs(out_s - out_c))),
-                    float(np.max(np.abs(s1.S - s2.S))),
-                )
-                cases += 1
-    check(f"sequential vs chunked ({cases} cases)", worst < 1e-10, f"max|diff|={worst:.2e}")
+    for i, (d, n_heads, B) in enumerate(configs):
+        for _ in range(per_config + (i < extra)):
+            p = rwkv7.random_block_params(d, n_heads, seed=int(rng.integers(2**31)))
+            tokens = rng.standard_normal((B, d))
+            s1 = rwkv7.RecurrentState.zeros(d, n_heads)
+            s2 = rwkv7.RecurrentState.zeros(d, n_heads)
+            out_s, _ = rwkv7.block_forward(tokens, p, s1, "sequential")
+            out_c, _ = rwkv7.block_forward(tokens, p, s2, "chunked")
+            worst = max(
+                worst,
+                float(np.max(np.abs(out_s - out_c))),
+                float(np.max(np.abs(s1.S - s2.S))),
+            )
+    check(f"sequential vs chunked ({args.cases} cases)", worst < 1e-10, f"max|diff|={worst:.2e}")
 
     # streaming fusion vs parallel fusion on last-frame outputs
     params = fusion.random_fusion_params(32, 2, 1, 16, seed=seed)

@@ -29,10 +29,18 @@ DEFAULT_SEED = 42
 
 
 def resolve_seed(seed: int | None = None) -> int:
-    """Explicit seed, else the LADY_SEED environment override, else 42."""
-    if seed is not None:
-        return seed
-    return int(os.environ.get("LADY_SEED", DEFAULT_SEED))
+    """Explicit seed, else the LADY_SEED environment override, else 42;
+    ConfigError unless it is an integer >= 0."""
+    where = "seed"
+    if seed is None:
+        where, seed = "LADY_SEED", os.environ.get("LADY_SEED", str(DEFAULT_SEED))
+        try:
+            seed = int(seed)
+        except ValueError:
+            pass  # rejected below, as the string it is
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ConfigError(f"{where} must be an integer >= 0, got {seed!r}")
+    return int(seed)
 
 
 # --- quadratic baseline ---------------------------------------------------
@@ -109,7 +117,8 @@ def gen_synthetic_frames(
 
 def gen_trajectory_dataset(n: int, seed: int) -> np.ndarray:
     """(n, DEFAULT_HORIZON, 3) smooth random trajectories on the DT grid:
-    constant speed, then gentle yaw rate, drawn per trajectory in that order."""
+    constant speed, then gentle yaw rate, drawn per trajectory in that order.
+    Headings and positions are cumulative sums over all trajectories at once."""
     rng = np.random.default_rng(seed)
     speed, yaw_rate = rng.uniform([2.0, -0.25], [12.0, 0.25], size=(n, 2)).T
     heading = np.cumsum(np.repeat(yaw_rate[:, None] * DT, DEFAULT_HORIZON, axis=1), axis=1)

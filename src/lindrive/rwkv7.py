@@ -138,8 +138,8 @@ class RwkvBlockParams:
         return self.W_r.dtype
 
     def tensors(self) -> dict[str, np.ndarray]:
-        """Every tensor in field order, under its snapshot name: ``W_r``,
-        ``mu_w``, ``lora_w.A``, ``lora_w.bias``, ..."""
+        """Every tensor in field order, by name: ``W_r``, ``mu_w``,
+        ``lora_w.A``, ``lora_w.bias``, ..."""
         out = {}
         for f in fields(self):
             value = getattr(self, f.name)
@@ -152,7 +152,7 @@ class RwkvBlockParams:
     @classmethod
     def from_tensors(cls, d: int, n_heads: int, tensor) -> "RwkvBlockParams":
         """The inverse of tensors(), without validation: each tensor is
-        tensor(snapshot name), asked for in field order."""
+        tensor(name), asked for in field order."""
         kwargs = {}
         for f in fields(cls):
             if f.type == "LoraParams":
@@ -187,7 +187,10 @@ class RwkvBlockParams:
 
 
 def _check_heads(d: int, n_heads) -> None:
-    """ConfigError unless n_heads is an integer >= 1 that divides d."""
+    """ConfigError unless d is an integer >= 1 and n_heads an integer >= 1
+    that divides it."""
+    if not (isinstance(d, (int, np.integer)) and d >= 1):
+        raise ConfigError(f"d={d!r} must be an integer >= 1")
     if not (isinstance(n_heads, (int, np.integer)) and n_heads >= 1 and d % n_heads == 0):
         raise ConfigError(f"n_heads={n_heads!r} must be an integer >= 1 that divides d={d}")
 
@@ -530,7 +533,8 @@ def chunk_readouts(S_in, h: ElementSet, r_heads):
     DEFAULT_CHUNK tokens, as every streamed frame makes, is one sub-chunk:
     prepared on (H, B, K) views and carried once. A longer call prepares its
     full sub-chunks as one batched run, one batched inverse for all, and
-    carries them in turn; a ragged tail is one sub-chunk more.
+    carries them in turn; a ragged tail is one sub-chunk more. Splitting a
+    call at a sub-chunk boundary changes no output bit.
     Every w exceeds W_LOWER_BOUND, so 1/F2 < W_LOWER_BOUND ** -DEFAULT_CHUNK
     (about 2.7e8): no float32 overflow, and each ratio's rounding is relative.
     """

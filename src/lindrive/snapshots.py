@@ -1,15 +1,15 @@
-"""Parameter and state snapshots, both ``.npz`` archives.
-
-Parameter entries are RwkvBlockParams.tensors() (``W_r``, ``mu_w``,
-``lora_w.A``, ...) plus ``d`` and ``n_heads``; state entries are the
-RecurrentState fields. Both round-trip bit-exactly, and loaders validate
-every shape, the dtype and finite values before returning an object.
+"""Stream-state snapshots: ``.npz`` archives with one entry per
+RecurrentState field, which round-trip bit-exactly; load_state validates
+the state before returning it.
 
 The archive is the ``.npz`` layout np.savez writes and np.load reads,
 handled here without either: the writer packs stored ``.npy`` 1.0 members itself, and
 the reader takes the zip container from zipfile (CRC checks, deflate,
 zip64) but parses each ``.npy`` header with one regular expression, in
-place of numpy's ast.literal_eval.
+place of numpy's ast.literal_eval. So it reads what np.savez and
+np.savez_compressed write: stored or deflated members, ``.npy`` 1.0 to
+3.0, C or Fortran order and either byte order, of bool, integer or float
+arrays.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, ShapeError
-from .rwkv7 import RecurrentState, RwkvBlockParams
+from .rwkv7 import RecurrentState
 
 _NPY_MAGIC = b"\x93NUMPY"
 # The header dict numpy writes, keys sorted: a plain bool, int, uint or float
@@ -48,7 +48,7 @@ _ZIP_END_TAIL = struct.Struct("<4H2IH")  # disks, entries, directory size and of
 _DOS_DATE_1980 = (1 << 5) | 1  # 1980-01-01, the zip epoch
 
 
-def _write_npz(path: str | Path, kind: str, entries: dict) -> None:
+def _write_npz(path: str | Path, entries: dict) -> None:
     """Write `entries` as the ``.npz`` archive `path`; ConfigError for any
     other suffix, which np.savez would silently extend.
 
@@ -65,7 +65,7 @@ def _write_npz(path: str | Path, kind: str, entries: dict) -> None:
     new one, or fails its CRC-32 check with DataError."""
     path = Path(path)
     if path.suffix != ".npz":
-        raise ConfigError(f"{kind} snapshots are .npz files, got {path.name!r}")
+        raise ConfigError(f"state snapshots are .npz files, got {path.name!r}")
     members, directory, offset = [], [], 0
     for name, value in entries.items():
         array = np.asarray(value)
@@ -86,32 +86,6 @@ def _write_npz(path: str | Path, kind: str, entries: dict) -> None:
     with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
         fh.write(archive)
         fh.truncate()
-
-
-def save_params(path: str | Path, params: RwkvBlockParams) -> None:
-    """Write one block's parameters to an ``.npz`` path (_write_npz)."""
-    _write_npz(path, "parameter", {**params.tensors(), "d": params.d, "n_heads": params.n_heads})
-
-
-def load_params(path: str | Path) -> RwkvBlockParams:
-    """Read a block written by save_params, validating every entry's shape
-    (ShapeError), integer sizes, one floating dtype and finite values (DataError)."""
-    tensors = _npz_entries(Path(path))
-
-    def entry(name):
-        if name not in tensors:
-            raise ShapeError(f"snapshot missing entry {name!r}")
-        return tensors[name]
-
-    sizes = {name: entry(name) for name in ("d", "n_heads")}
-    for name, value in sizes.items():
-        if value.ndim != 0:
-            raise ShapeError(f"snapshot entry {name!r} must be 0-d, got shape {value.shape}")
-        if not np.issubdtype(value.dtype, np.integer):
-            raise DataError(f"snapshot entry {name!r} must be an integer, got {value.dtype}")
-    params = RwkvBlockParams.from_tensors(int(sizes["d"]), int(sizes["n_heads"]), entry)
-    params.validate()
-    return params
 
 
 def _npz_entries(path: Path) -> dict[str, np.ndarray]:
@@ -160,7 +134,7 @@ def save_state(path: str | Path, state: RecurrentState) -> None:
     per RecurrentState field; round-trips bit-exactly."""
     entries = {f.name: getattr(state, f.name) for f in fields(RecurrentState)}
     entries["tokens_seen"] = np.asarray(state.tokens_seen, dtype=np.int64)
-    _write_npz(path, "state", entries)
+    _write_npz(path, entries)
 
 
 def load_state(path: str | Path) -> RecurrentState:

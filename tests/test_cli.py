@@ -52,6 +52,12 @@ class TestEquiv:
         assert out1 == out2
         assert "PASS" in out1 and "FAIL" not in out1
 
+    @pytest.mark.parametrize("cases", ["5", "30"])
+    def test_runs_the_cases_asked_for(self, capsys, cases):
+        code, out, _ = run(capsys, "equiv", "--cases", cases)
+        assert code == 0
+        assert f"sequential vs chunked ({cases} cases)" in out
+
     @pytest.mark.parametrize("cases", ["0", "-4"])
     def test_fewer_than_one_case_rejected(self, capsys, cases):
         code, out, err = run(capsys, "equiv", "--cases", cases)

@@ -213,3 +213,18 @@ class TestSeedResolution:
     def test_default(self, monkeypatch):
         monkeypatch.delenv("LADY_SEED", raising=False)
         assert resolve_seed(None) == 42
+
+    @pytest.mark.parametrize("seed", [-1, 2.5, "7"])
+    def test_bad_argument_rejected(self, monkeypatch, seed):
+        monkeypatch.setenv("LADY_SEED", "7")
+        with pytest.raises(ConfigError, match=r"^seed must be an integer >= 0"):
+            resolve_seed(seed)
+
+    @pytest.mark.parametrize("value", ["abc", "-5", "", "4.0"])
+    def test_bad_environment_rejected(self, monkeypatch, value):
+        monkeypatch.setenv("LADY_SEED", value)
+        with pytest.raises(ConfigError, match=r"^LADY_SEED must be an integer >= 0"):
+            resolve_seed(None)
+
+    def test_numpy_integer_accepted(self):
+        assert resolve_seed(np.int64(9)) == 9

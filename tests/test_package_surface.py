@@ -12,9 +12,13 @@ A defaulted parameter of a public function or method must be passed, by
 keyword or by position, by a call in the package, `tools/`, `demos/`,
 `perfbench/` or `tests/` outside its own definition. An option that no call
 sets is a constant.
+
+Every package name the README names in backticks, as `lindrive.<module>`
+or `<module>.<name>[.<attr>]`, exists.
 """
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -122,3 +126,21 @@ def test_every_option_is_set_by_a_call():
             }
         unset += [f"{module.stem}.{qualname}.{p}" for p in params]
     assert not unset, f"defaulted parameters no call sets: {unset}"
+
+
+def test_readme_references_resolve():
+    modules = sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "__init__")
+    reference = re.compile(rf"`(?:lindrive\.(\w+)|({'|'.join(modules)}))((?:\.\w+)*)`")
+    missing = []
+    for match in reference.finditer((ROOT / "README.md").read_text()):
+        try:
+            target = importlib.import_module(f"lindrive.{match[1] or match[2]}")
+        except ModuleNotFoundError:
+            missing.append(match[0])
+            continue
+        for attr in match[3].split(".")[1:]:
+            if not hasattr(target, attr):
+                missing.append(match[0])
+                break
+            target = getattr(target, attr)
+    assert not missing, f"README names that do not exist: {missing}"

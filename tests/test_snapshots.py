@@ -1,4 +1,11 @@
-"""Round-trip and validation tests for parameter/state snapshots."""
+"""Round-trip and validation tests for stream-state snapshots, and for a
+block's parameters as named tensors.
+
+Snapshots hold stream state only. A block's parameters are checked here as
+the 34 named entries of RwkvBlockParams.tensors() plus d and n_heads:
+rebuilt by from_tensors and checked by validate, and carried through the
+snapshot codec, whose other fixture, a state, has four entries and no
+dotted names."""
 
 import io
 import json
@@ -10,10 +17,10 @@ import pytest
 
 from lindrive import snapshots
 from lindrive.errors import ConfigError, DataError, ShapeError
-from lindrive.rwkv7 import RecurrentState, block_forward, random_block_params
+from lindrive.rwkv7 import RecurrentState, RwkvBlockParams, block_forward, random_block_params
 
 BLOCK = random_block_params(8, n_heads=2, seed=10, h_ff=12, rank=3)
-# every block tensor under its snapshot name
+# every block tensor under its name
 NAMES = list(BLOCK.tensors())
 
 
@@ -22,134 +29,155 @@ def assert_params_equal(a, b):
     ta, tb = a.tensors(), b.tensors()
     assert ta.keys() == tb.keys()
     for key in ta:
+        assert ta[key].dtype == tb[key].dtype, key
         np.testing.assert_array_equal(ta[key], tb[key], err_msg=key)
 
 
-def load_edited(tmp_path, edit, params=BLOCK):
-    """load_params of what save_params wrote for `params`, after `edit`
-    changed the dict of its entries in place."""
-    path = tmp_path / "block.npz"
-    snapshots.save_params(path, params)
-    with np.load(path) as data:
-        tensors = dict(data)
+def build_edited(edit, params=BLOCK, d=None, n_heads=None):
+    """validate() of `params` rebuilt by from_tensors from copies of its
+    tensors, after `edit` changed the dict of the copies in place; `d` and
+    `n_heads` replace the block's sizes when given."""
+    tensors = {name: t.copy() for name, t in params.tensors().items()}
     edit(tensors)
-    np.savez(path, **tensors)
-    return snapshots.load_params(path)
+    rebuilt = RwkvBlockParams.from_tensors(params.d if d is None else d,
+                                           params.n_heads if n_heads is None else n_heads,
+                                           tensors.__getitem__)
+    rebuilt.validate()
+    return rebuilt
+
+
+def write_block(path, params, edit=lambda entries: None):
+    """The snapshot codec's archive of `params`' tensors, after `edit`
+    changed the dict of them in place."""
+    entries = dict(params.tensors())
+    edit(entries)
+    snapshots._write_npz(path, entries)
+    return path
+
+
+def read_block(path, d, n_heads):
+    """The block from_tensors rebuilds from the entries of the archive at
+    `path`, validated."""
+    params = RwkvBlockParams.from_tensors(d, n_heads, snapshots._npz_entries(path).__getitem__)
+    params.validate()
+    return params
 
 
 class TestParamSnapshots:
+    """A block's tensors through the snapshot codec: many members, dotted
+    names, 1-D and 2-D arrays."""
+
     def test_npz_round_trip_exact(self, tmp_path):
         p = random_block_params(16, n_heads=4, seed=1)
-        path = tmp_path / "block.npz"
-        snapshots.save_params(path, p)
-        assert_params_equal(p, snapshots.load_params(path))
+        path = write_block(tmp_path / "block.npz", p)
+        assert_params_equal(p, read_block(path, 16, 4))
 
     @pytest.mark.parametrize("name", ["block.json", "block.npy", "block"])
     def test_non_npz_suffix_rejected(self, tmp_path, name):
         # np.savez would write <name>.npz without a word
         with pytest.raises(ConfigError, match="npz"):
-            snapshots.save_params(tmp_path / name, BLOCK)
+            write_block(tmp_path / name, BLOCK)
         assert not list(tmp_path.iterdir())
 
     def test_missing_entry_rejected(self, tmp_path):
+        # from_tensors asks for every name; no entry has a default
         p = random_block_params(8, seed=3)
-        with pytest.raises(ShapeError):
-            load_edited(tmp_path, lambda tensors: tensors.pop("W_r"), p)
+        path = write_block(tmp_path / "block.npz", p, lambda entries: entries.pop("W_r"))
+        with pytest.raises(KeyError, match="W_r"):
+            read_block(path, 8, 1)
 
     def test_bad_shape_rejected(self, tmp_path):
-        def truncate(tensors):
-            tensors["W_k"] = tensors["W_k"][:4]
+        def truncate(entries):
+            entries["W_k"] = entries["W_k"][:4]
 
-        with pytest.raises(ShapeError):
-            load_edited(tmp_path, truncate, random_block_params(8, seed=4))
+        path = write_block(tmp_path / "block.npz", random_block_params(8, seed=4), truncate)
+        with pytest.raises(ShapeError, match="W_k"):
+            read_block(path, 8, 1)
 
     def test_named_entries_present(self, tmp_path):
-        path = tmp_path / "block.npz"
-        snapshots.save_params(path, random_block_params(8, seed=5))
+        path = write_block(tmp_path / "block.npz", random_block_params(8, seed=5))
         with np.load(path) as data:
             for key in ("W_r", "mu_w", "lora_w.A", "lora_w.B", "lora_w.bias", "k_k"):
                 assert key in data.files
 
 
 class TestParamSchema:
-    """Every entry of RwkvBlockParams.tensors() is checked on load."""
+    """RwkvBlockParams.validate checks every entry of tensors() by name, and
+    the two sizes."""
 
-    def test_entries_are_tensors_plus_sizes(self, tmp_path):
+    def test_entries_are_tensors_plus_sizes(self):
+        # from_tensors asks for exactly the names of tensors(), in order; the
+        # sizes are its other two arguments
         assert len(NAMES) == 34
-        path = tmp_path / "block.npz"
-        snapshots.save_params(path, BLOCK)
-        with np.load(path) as data:
-            assert data.files == NAMES + ["d", "n_heads"]
+        asked = []
+
+        def tensor(name):
+            asked.append(name)
+            return BLOCK.tensors()[name]
+
+        rebuilt = RwkvBlockParams.from_tensors(BLOCK.d, BLOCK.n_heads, tensor)
+        assert asked == NAMES
+        assert_params_equal(rebuilt, BLOCK)
 
     @pytest.mark.parametrize("name", NAMES)
-    def test_missing_entry_rejected(self, tmp_path, name):
-        with pytest.raises(ShapeError, match=re.escape(name)):
-            load_edited(tmp_path, lambda tensors: tensors.pop(name))
+    def test_missing_entry_rejected(self, name):
+        with pytest.raises(KeyError, match=re.escape(name)):
+            build_edited(lambda tensors: tensors.pop(name))
 
     @pytest.mark.parametrize("edit", ["drop_row", "add_axis"])
     @pytest.mark.parametrize("name", NAMES)
-    def test_wrong_shape_rejected(self, tmp_path, name, edit):
+    def test_wrong_shape_rejected(self, name, edit):
         def reshape(tensors):
             t = tensors[name]
             tensors[name] = t[:-1] if edit == "drop_row" else t[None]
 
         with pytest.raises(ShapeError, match=re.escape(name)):
-            load_edited(tmp_path, reshape)
+            build_edited(reshape)
 
     @pytest.mark.parametrize("name", NAMES)
-    def test_wrong_dtype_rejected(self, tmp_path, name):
+    def test_wrong_dtype_rejected(self, name):
         def to_float32(tensors):
             tensors[name] = tensors[name].astype(np.float32)
 
         with pytest.raises(DataError):
-            load_edited(tmp_path, to_float32)
+            build_edited(to_float32)
 
     @pytest.mark.parametrize("name", NAMES)
-    def test_non_finite_rejected(self, tmp_path, name):
+    def test_non_finite_rejected(self, name):
         def poison(tensors):
             tensors[name].flat[-1] = np.nan
 
         with pytest.raises(DataError, match=re.escape(name)):
-            load_edited(tmp_path, poison)
+            build_edited(poison)
 
-    def test_integer_block_rejected(self, tmp_path):
+    def test_integer_block_rejected(self):
         def to_int64(tensors):
             tensors.update((k, t.astype(np.int64)) for k, t in tensors.items())
 
         with pytest.raises(DataError):
-            load_edited(tmp_path, to_int64)
+            build_edited(to_int64)
 
     @pytest.mark.parametrize("name", ["d", "n_heads"])
     @pytest.mark.parametrize("value", [[8, 8], [2]], ids=["two-values", "one-value"])
-    def test_size_not_0d_rejected(self, tmp_path, name, value):
-        def to_array(tensors):
-            tensors[name] = np.array(value)
-
-        with pytest.raises(ShapeError, match=name):
-            load_edited(tmp_path, to_array)
+    def test_size_not_0d_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name}="):
+            build_edited(lambda tensors: None, **{name: np.array(value)})
 
     @pytest.mark.parametrize("name,value", [("d", 8.5), ("d", 8.0), ("n_heads", 2.0)])
-    def test_size_not_integer_rejected(self, tmp_path, name, value):
-        def to_float(tensors):
-            tensors[name] = np.array(value)
-
-        with pytest.raises(DataError, match=name):
-            load_edited(tmp_path, to_float)
+    def test_size_not_integer_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name}="):
+            build_edited(lambda tensors: None, **{name: value})
 
     @pytest.mark.parametrize("n_heads", [0, -2])
-    def test_bad_head_count_rejected(self, tmp_path, n_heads):
-        def set_heads(tensors):
-            tensors["n_heads"] = np.array(n_heads)
-
+    def test_bad_head_count_rejected(self, n_heads):
         with pytest.raises(ConfigError, match="n_heads"):
-            load_edited(tmp_path, set_heads)
+            build_edited(lambda tensors: None, n_heads=n_heads)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32-.npz", "float64-.npz"])
     def test_round_trip_exact(self, tmp_path, dtype):
         p = random_block_params(8, n_heads=2, seed=11, dtype=dtype)
-        path = tmp_path / "block.npz"
-        snapshots.save_params(path, p)
-        loaded = snapshots.load_params(path).tensors()
+        path = write_block(tmp_path / "block.npz", p)
+        loaded = read_block(path, 8, 2).tensors()
         for name, t in p.tensors().items():
             assert loaded[name].dtype == dtype, name
             np.testing.assert_array_equal(loaded[name], t, err_msg=name)
@@ -369,16 +397,14 @@ class TestNotAnArchive:
         ids=["json-text", "empty", "truncated-zip", "npy-array", "object-entry",
              "shape-not-bytes", "bad-magic"],
     )
-    @pytest.mark.parametrize("load", [snapshots.load_state, snapshots.load_params],
-                             ids=["load_state", "load_params"])
+    @pytest.mark.parametrize("load", [snapshots.load_state], ids=["load_state"])
     def test_rejected(self, tmp_path, write, load):
         path = tmp_path / "snapshot.npz"
         write(path)
         with pytest.raises(DataError):
             load(path)
 
-    @pytest.mark.parametrize("load", [snapshots.load_state, snapshots.load_params],
-                             ids=["load_state", "load_params"])
+    @pytest.mark.parametrize("load", [snapshots.load_state], ids=["load_state"])
     def test_missing_file(self, tmp_path, load):
         with pytest.raises(FileNotFoundError):
             load(tmp_path / "absent.npz")
@@ -390,8 +416,9 @@ def state_entries(state):
 
 
 class TestCodec:
-    """The archives save_state and save_params write are plain .npz files;
-    load_state reads what np.savez and np.savez_compressed write."""
+    """The archives the codec writes, of a state or of a block's tensors,
+    are plain .npz files; load_state reads what np.savez and
+    np.savez_compressed write."""
 
     STATE = random_state(8, 2, np.float32, seed=40)
 
@@ -399,8 +426,8 @@ class TestCodec:
     def test_valid_zip_that_np_load_reads(self, tmp_path, kind):
         path = tmp_path / "snapshot.npz"
         if kind == "params":
-            snapshots.save_params(path, BLOCK)
             expected = {**BLOCK.tensors(), "d": np.asarray(8), "n_heads": np.asarray(2)}
+            snapshots._write_npz(path, expected)
         else:
             state = random_state(8, 2, np.float32 if kind == "float32-state" else np.float64, seed=41)
             snapshots.save_state(path, state)

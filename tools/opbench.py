@@ -33,12 +33,17 @@ shifted by one frame; 16 calls of a kernel op). For each op it reports the
 median over passes of each pass's median wall ms per op (ms_per_op) and
 the fastest pass's (ms_min), the median system-time ms per op
 (sys_ms_per_op), and the median, min and max of the minor page faults
-(ru_minflt) per op: minflt_per_op, minflt_min and minflt_max. A fault
-count depends on what else ran in the process, so compare counts only
-between trees run the same way. Last, fuse_peak_bytes holds the
-tracemalloc peak of one fuse_parallel call above its input and its output,
-after a warm-up call, in float32 and float64 at 512, 2,048 and 8,192
-tokens: the working memory of the history rebuild.
+(ru_minflt) per op: minflt_per_op, minflt_min and minflt_max. A minor
+fault is a page the kernel maps in when the process first touches it;
+here mostly memory that glibc handed back to the OS after one op and the
+next op asks for again, so each is wasted system time. The count repeats
+closely where wall time does not, but glibc sets its trim and mmap
+thresholds from the largest blocks freed so far, so it depends on what
+else ran in the process: compare counts only between trees run the same
+way. Last, fuse_peak_bytes holds the tracemalloc peak of one fuse_parallel
+call above its input and its output, after a warm-up call, in float32 and
+float64 at 512, 2,048 and 8,192 tokens: the working memory of the history
+rebuild.
 
 With --against PATH it also loads the lindrive package of the checkout at
 PATH into this process, under another module name, reports all of the
