@@ -109,12 +109,14 @@ def _cmd_equiv(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    grid = [int(x) for x in args.frames.split(",") if x.strip()]
-    if not grid or any(t < 1 for t in grid):
-        raise LindriveError(f"invalid frame grid {args.frames!r}")
+    # a grid with no items is reported as the whole string
+    items = [x.strip() for x in args.frames.split(",") if x.strip()] or [args.frames]
+    for x in items:
+        if not x.isdecimal() or int(x) < 1:
+            raise ConfigError(f"--frames takes integers >= 1, got {x!r}")
     modes = ("linear", "softmax") if args.mode == "both" else (args.mode,)
     cfg = harness.BenchConfig(seed=harness.resolve_seed(args.seed))
-    records = harness.run_scaling_bench(grid, args.trials, cfg, modes)
+    records = harness.run_scaling_bench([int(x) for x in items], args.trials, cfg, modes)
     harness.write_bench_csv(args.out, records)
     for r in records:
         print(
@@ -129,23 +131,17 @@ def _cmd_demo(args) -> int:
     seed = harness.resolve_seed(args.seed)
     d, l_cam, l_lid = 64, 16, 16
     frames = harness.gen_synthetic_frames(args.frames, seed, d=d)
-    params = fusion.random_fusion_params(d, 2, 1, l_cam + l_lid, seed=seed)
-    session = fusion.FusionSession(params)
-    fused = None
-    for f in frames:
-        fused = session.step(f)
-    fused_lidar = fused[l_cam:]
-
+    session = fusion.FusionSession(fusion.random_fusion_params(d, 2, 1, l_cam + l_lid, seed=seed))
+    for f in frames[:-1]:
+        session.step(f)
     bev_params = fusion.random_bev_params(d, (4, 4), seed=seed + 1)
     ego = fusion.EgoStatus(velocity=8.0, acceleration=0.2, command="follow")
-    bundle = fusion.assemble_bev(fused_lidar, ego, bev_params)
-
     dec_params = decoder.random_decoder_params(d, seed=seed + 2)
-    agent_q = decoder.derive_agent_queries(bundle, dec_params)
     dataset = harness.gen_trajectory_dataset(max(4 * args.k, args.k + 8), seed + 3)
     anchors = decoder.cluster_anchors(dataset, args.k, seed + 4)
-    out = decoder.decode(anchors, bundle, agent_q, dec_params, steps=2, seed=seed + 5)
-    best, idx = decoder.select_best(out)
+    out, best, idx = decoder.plan_frame(
+        session, bev_params, dec_params, anchors, frames[-1], ego, seed + 5
+    )
 
     Path(args.out).write_text(json.dumps(best.to_json()))
     scene, _ = harness.gen_synthetic_scene(seed + 6)

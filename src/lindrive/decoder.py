@@ -37,7 +37,7 @@ from .cross_attn import (
     random_cross_attn_params,
 )
 from .errors import ConfigError, ContractError, DataError, ShapeError
-from .fusion import BevBundle
+from .fusion import BevBundle, BevProjParams, EgoStatus, FrameTokens, FusionSession, assemble_bev
 from .rwkv7 import RecurrentState, block_branch, sigmoid
 
 DT = 0.5  # 2 Hz waypoint grid
@@ -199,16 +199,25 @@ class NoiseSchedule:
 # --- anchor construction ------------------------------------------------------
 
 
+def check_seed(seed, where: str) -> int:
+    """`seed` as an int; ConfigError naming `where` unless it is an integer
+    >= 0, so that numpy's generators never see a bad seed."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ConfigError(f"{where} must be an integer >= 0, got {seed!r}")
+    return int(seed)
+
+
 def cluster_anchors(dataset, k: int, seed: int) -> AnchorSet:
     """K-means over flattened waypoint vectors (Lloyd with k-means++ init) of
     `dataset`, a list of Trajectory (one batch) or a finite (N, n, 3) array.
 
     Runs at most 100 iterations or until assignments stop changing; the
     centroids come back reshaped as trajectories. ConfigError unless k is
-    an integer >= 1.
+    an integer >= 1 and the seed an integer >= 0.
     """
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise ConfigError(f"k-means needs at least one cluster, as an integer; got k={k!r}")
+    check_seed(seed, "seed")
     if isinstance(dataset, (list, tuple)) and dataset and isinstance(dataset[0], Trajectory):
         data, dt = stack_trajectories(dataset)
     else:
@@ -263,12 +272,14 @@ def corrupt_anchors(
     sqrt(abar) * x0 + sqrt(1 - abar) * noise, seeded.
 
     Returns raw (K, N, 3) arrays; headings are wrapped only once decoding
-    finishes. Steps above the truncation point are a contract violation.
+    finishes. Steps above the truncation point are a contract violation; a
+    seed that is not an integer >= 0 is a ConfigError, at any step.
     """
     if not 0 <= step <= sched.truncate_at:
         raise ContractError(
             f"step {step} outside the truncated schedule [0, {sched.truncate_at}]"
         )
+    check_seed(seed, "seed")
     x0 = anchors.stacked()
     if step == 0:
         return x0.copy()
@@ -514,3 +525,19 @@ def select_best(out: DecoderOutput) -> tuple[Trajectory, int]:
         raise ContractError("empty decoder output")
     idx = int(np.argmax(out.confidence))
     return out.trajectories[idx], idx
+
+
+def plan_frame(
+    session: FusionSession, bev: BevProjParams, params: DecoderParams, anchors: AnchorSet,
+    frame: FrameTokens, ego: EgoStatus, seed: int,
+) -> tuple[DecoderOutput, Trajectory, int]:
+    """One planning frame end to end: stream `frame` through the session,
+    assemble the BEV bundle from the fused rows after the frame's camera
+    tokens, derive the agent queries, decode in 2 deterministic steps under
+    `seed` and select the best mode. Returns (decoder output, best
+    trajectory, its index). Each stage raises its own errors; once the
+    frame is streamed, a later error leaves the session one frame on."""
+    fused = session.step(frame)
+    bundle = assemble_bev(fused[frame.camera.shape[0]:], ego, bev)
+    out = decode(anchors, bundle, derive_agent_queries(bundle, params), params, steps=2, seed=seed)
+    return (out, *select_best(out))

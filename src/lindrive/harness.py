@@ -20,7 +20,7 @@ from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from .decoder import DEFAULT_HORIZON, DT
+from .decoder import DEFAULT_HORIZON, DT, check_seed
 from .errors import ConfigError, ShapeError
 from .fusion import FrameTokens, FusionSession, random_fusion_params
 from .pdms import AgentState, SceneEval
@@ -38,9 +38,7 @@ def resolve_seed(seed: int | None = None) -> int:
             seed = int(seed)
         except ValueError:
             pass  # rejected below, as the string it is
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ConfigError(f"{where} must be an integer >= 0, got {seed!r}")
-    return int(seed)
+    return check_seed(seed, where)
 
 
 # --- quadratic baseline ---------------------------------------------------

@@ -44,6 +44,18 @@ class TestDemoAndScore:
         assert 0.0 <= float(rows[0]["pdms"]) <= 1.0
 
 
+    def test_demo_plans_a_single_frame(self, tmp_path, capsys):
+        # frame 0 is both the whole stream and the planned frame
+        traj_path = tmp_path / "traj.json"
+        code, out, _ = run(
+            capsys, "demo", "--frames", "1", "--seed", "42", "--k", "4",
+            "--out", str(traj_path), "--scene-out", str(tmp_path / "scene.json"),
+        )
+        assert code == 0
+        assert out.startswith("streamed 1 frames, decoded 4 modes, best mode ")
+        assert len(json.loads(traj_path.read_text())["waypoints"]) == 8
+
+
 class TestEquiv:
     def test_deterministic_output(self, capsys):
         code1, out1, _ = run(capsys, "equiv", "--seed", "42", "--cases", "12")
@@ -86,6 +98,14 @@ class TestBench:
             capsys, "bench", "--frames", "0", "--out", str(tmp_path / "b.csv")
         )
         assert code == cli.EXIT_BAD_DATA
+
+    @pytest.mark.parametrize("grid,bad", [("1,a", "a"), ("2,0", "0"), ("4,1.5", "1.5"), (",", ",")])
+    def test_bad_grid_item_named(self, tmp_path, capsys, grid, bad):
+        out_path = tmp_path / "b.csv"
+        code, out, err = run(capsys, "bench", "--frames", grid, "--out", str(out_path))
+        assert code == cli.EXIT_BAD_DATA
+        assert err == f"error: --frames takes integers >= 1, got {bad!r}\n"
+        assert out == "" and not out_path.exists()
 
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_fewer_than_one_trial_rejected(self, tmp_path, capsys, trials):

@@ -164,6 +164,17 @@ class TestClusterAnchors:
     def test_numpy_integer_cluster_count_accepted(self):
         assert cluster_anchors(gen_trajectory_dataset(8, seed=7), np.int64(3), seed=8).k == 3
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, "8", None])
+    def test_bad_seed_rejected(self, seed):
+        # numpy would raise its own ValueError or TypeError, or draw unseeded
+        with pytest.raises(ConfigError, match=r"^seed must be an integer >= 0"):
+            cluster_anchors(gen_trajectory_dataset(8, seed=7), 3, seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        data = gen_trajectory_dataset(8, seed=7)
+        a, b = cluster_anchors(data, 3, seed=np.int64(8)), cluster_anchors(data, 3, seed=8)
+        np.testing.assert_array_equal(a.stacked(), b.stacked())
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_dataset_rejected(self, bad):
         data = gen_trajectory_dataset(8, seed=11)
@@ -268,6 +279,13 @@ class TestCorruptAnchors:
         b = corrupt_anchors(anchors, sched, 25, seed=14)
         np.testing.assert_array_equal(a, b)
 
+    # step 0 draws no noise, and rejects the bad seed all the same
+    @pytest.mark.parametrize("step", [0, 25])
+    @pytest.mark.parametrize("seed", [-1, 2.5])
+    def test_bad_seed_rejected(self, step, seed):
+        with pytest.raises(ConfigError, match=r"^seed must be an integer >= 0"):
+            corrupt_anchors(self.make_anchors(), NoiseSchedule.linear(), step, seed=seed)
+
 
 def layer_states(bundle, agent_q, lp):
     """The layer's BEV and agent feature states, as decode builds them."""
@@ -366,6 +384,12 @@ class TestDecode:
     def test_non_integer_steps_rejected(self, steps):
         with pytest.raises(ConfigError, match="integer"):
             decode(self.anchors, self.bundle, self.agent_q, self.params, steps=steps)
+
+    @pytest.mark.parametrize("seed", [-1, 2.5])
+    @pytest.mark.parametrize("stochastic", [False, True])
+    def test_bad_seed_rejected(self, seed, stochastic):
+        with pytest.raises(ConfigError, match=r"^seed must be an integer >= 0"):
+            decode(self.anchors, self.bundle, self.agent_q, self.params, seed=seed, stochastic=stochastic)
 
     def test_numpy_integer_steps_accepted(self):
         a = decode(self.anchors, self.bundle, self.agent_q, self.params, steps=np.int64(2), seed=29)
